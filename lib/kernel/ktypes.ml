@@ -68,11 +68,6 @@ type lwp = {
   mutable runq_gen : int;
       (* incremented on every enqueue; stale run-queue entries (older
          generation) are skipped at pick time, which makes dequeue lazy *)
-  mutable offload : Sunos_sim.Parexec.task option;
-      (* in-flight offloaded compute launched by this LWP's last
-         Step_offload; awaited before its charge continuation resumes
-         (preemption and migration may delay the resume — the await
-         travels with the LWP, not the CPU) *)
 }
 
 and proc = {

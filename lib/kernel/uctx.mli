@@ -16,10 +16,6 @@ type _ Effect.t +=
   | Charge : Sunos_sim.Time.span -> bool Effect.t
         (** Result [true] means deliverable signals are pending. *)
   | Sys : Sysdefs.sysreq -> Sysdefs.sysret Effect.t
-  | Offload : Sunos_sim.Time.span * (unit -> unit) -> bool Effect.t
-        (** A charge with real work attached: the kernel launches the
-            thunk on the machine's worker pool and awaits it before the
-            charge's continuation resumes.  Result as for {!Charge}. *)
 
 type step =
   | Step_done
@@ -28,10 +24,6 @@ type step =
       Sunos_sim.Time.span * (bool, step) Effect.Deep.continuation
   | Step_sys of
       Sysdefs.sysreq * (Sysdefs.sysret, step) Effect.Deep.continuation
-  | Step_offload of
-      Sunos_sim.Time.span
-      * (unit -> unit)
-      * (bool, step) Effect.Deep.continuation
 
 val run_fiber : (unit -> unit) -> step
 (** Start running [f] as a fiber; returns at its first effect (or
@@ -64,16 +56,6 @@ val charge : Sunos_sim.Time.span -> unit
 val charge_us : int -> unit
 val compute : Sunos_sim.Time.span -> unit
 (** Alias of {!charge} for application compute phases. *)
-
-val offload : cost:Sunos_sim.Time.span -> (unit -> unit) -> unit
-(** A compute phase with real work behind it: [f] runs on the machine's
-    worker-domain pool (inline when [domains = 1]) while the simulation
-    keeps advancing, and is guaranteed complete by the time this call
-    returns.  [f] must be pure — it may write only its own closure
-    cells, never simulation state — so the simulated outcome depends
-    only on [cost] and the caller's own data: bit-identical for every
-    domain count.  Signal handlers run before returning, as for
-    {!charge}. *)
 
 val syscall : Sysdefs.sysreq -> Sysdefs.sysret
 (** Raw system call; no signal pickup, no error decoding. *)

@@ -1,45 +1,27 @@
-(* The event queue, sharded.
+(* The event queue: one indexed binary min-heap.
 
-   Events live in per-shard pairing heaps — shard 0 is the global
-   (kernel/device) shard; the machine gives each simulated CPU its own
-   shard for the busy/charge events that dominate event traffic.  The
-   pop order is the *global* (time, seq) total order, computed as a
-   min-merge over the shard heads, so sharding is invisible to
-   execution: any routing of events to shards fires the exact same
-   sequence as the single-heap queue did.  What sharding buys is
-   structure — per-shard frontiers (the conservative-lookahead bound a
-   parallel advance is entitled to), per-shard fired/pending stats, and
-   a cross-shard traffic count (events scheduled into a shard from
-   another shard's callback: IPIs, wakeups, shared-runq dispatch), all
-   surfaced through /proc and the parallel-scaling figure. *)
+   Entries are handles ordered by (time, seq).  [seq] is a global
+   scheduling counter, so the key is a total order: two events at the
+   same instant fire in the order they were scheduled (FIFO), whatever
+   shape the heap happens to have.  Each handle records its own slot in
+   the heap array, so [cancel] takes it out at once — there is no dead
+   entry to skip or compact later.  Scheduling allocates the handle and
+   nothing else; peeking, popping and cancelling allocate nothing. *)
 
 type handle = {
   time : Time.t;
   seq : int;
   action : unit -> unit;
-  mutable cancelled : bool;
-  mutable fired : bool;
+  mutable pos : int;  (* slot in [owner.heap]; -1 once fired or cancelled *)
   owner : t;
-  shard : int;
-}
-
-and shard = {
-  mutable heap : handle Pheap.t;
-  mutable s_live : int;
-  mutable s_cancelled : int;  (* cancelled handles still in this heap *)
-  mutable s_fired : int;
-  mutable s_xin : int;
-      (* events scheduled into this shard while another shard's event
-         was firing — the cross-shard synchronization traffic *)
 }
 
 and t = {
-  shards : shard array;
+  mutable heap : handle array;  (* slots [0, size) hold the heap *)
+  mutable size : int;
   mutable now : Time.t;
   mutable next_seq : int;
-  mutable live : int;
   mutable fired_count : int;
-  mutable firing_shard : int;  (* shard of the event being fired; -1 outside *)
   mutable drain_hooks : (unit -> unit) list;
       (* fired by [run] when the queue empties; diagnostic observers
          (e.g. the thread sanitizer's hang check).  Kept in REVERSE
@@ -51,23 +33,25 @@ and t = {
          outruns a horizon-limited run *)
 }
 
-let cmp a b =
-  let c = Time.compare a.time b.time in
-  if c <> 0 then c else compare a.seq b.seq
+(* Fills every slot at or past [size], so the array never keeps a fired
+   or cancelled handle — and the closure it carries — alive.  Never
+   queued, so never mutated: one is shared by all queues. *)
+let vacant =
+  let nobody =
+    { heap = [||]; size = 0; now = Time.zero; next_seq = 0; fired_count = 0;
+      drain_hooks = []; run_horizon = None }
+  in
+  { time = Time.zero; seq = -1; action = ignore; pos = -1; owner = nobody }
 
-let fresh_shard () =
-  { heap = Pheap.create ~cmp; s_live = 0; s_cancelled = 0; s_fired = 0;
-    s_xin = 0 }
+let initial_capacity = 64
 
-let create ?(shards = 1) () =
-  if shards < 1 then invalid_arg "Eventq.create: shards";
+let create () =
   {
-    shards = Array.init shards (fun _ -> fresh_shard ());
+    heap = Array.make initial_capacity vacant;
+    size = 0;
     now = Time.zero;
     next_seq = 0;
-    live = 0;
     fired_count = 0;
-    firing_shard = -1;
     drain_hooks = [];
     run_horizon = None;
   }
@@ -76,162 +60,138 @@ let on_drain q f = q.drain_hooks <- f :: q.drain_hooks
 
 let now q = q.now
 
-let at ?(shard = 0) q time action =
+let[@inline] before a b =
+  let c = Time.compare a.time b.time in
+  c < 0 || (c = 0 && a.seq < b.seq)
+
+let[@inline] place heap h i =
+  Array.unsafe_set heap i h;
+  h.pos <- i
+
+(* Move [h] from the hole at [i] towards the root until its parent is
+   earlier. *)
+let rec sift_up heap h i =
+  if i = 0 then place heap h 0
+  else
+    let parent = (i - 1) / 2 in
+    let p = Array.unsafe_get heap parent in
+    if before h p then begin
+      place heap p i;
+      sift_up heap h parent
+    end
+    else place heap h i
+
+(* Move [h] from the hole at [i] towards the leaves until both children
+   are later. *)
+let rec sift_down heap size h i =
+  let l = (2 * i) + 1 in
+  if l >= size then place heap h i
+  else
+    let r = l + 1 in
+    let c =
+      if r < size && before (Array.unsafe_get heap r) (Array.unsafe_get heap l)
+      then r
+      else l
+    in
+    let ch = Array.unsafe_get heap c in
+    if before ch h then begin
+      place heap ch i;
+      sift_down heap size h c
+    end
+    else place heap h i
+
+let at q time action =
   if Time.(time < q.now) then
     invalid_arg "Eventq.at: scheduling in the past";
-  if shard < 0 || shard >= Array.length q.shards then
-    invalid_arg "Eventq.at: shard";
-  let h =
-    { time; seq = q.next_seq; action; cancelled = false; fired = false;
-      owner = q; shard }
-  in
+  let n = q.size in
+  if n = Array.length q.heap then begin
+    let bigger = Array.make (2 * n) vacant in
+    Array.blit q.heap 0 bigger 0 n;
+    q.heap <- bigger
+  end;
+  let h = { time; seq = q.next_seq; action; pos = n; owner = q } in
   q.next_seq <- q.next_seq + 1;
-  let sh = q.shards.(shard) in
-  if q.firing_shard >= 0 && q.firing_shard <> shard then
-    sh.s_xin <- sh.s_xin + 1;
-  Pheap.insert sh.heap h;
-  sh.s_live <- sh.s_live + 1;
-  q.live <- q.live + 1;
+  q.size <- n + 1;
+  sift_up q.heap h n;
   h
 
-let after ?shard q d action = at ?shard q (Time.add q.now d) action
+let after q d action = at q (Time.add q.now d) action
 
-(* Rebuild a shard's heap from its live population.  Cancellation is lazy
-   (the heap keeps cancelled handles until they surface), so a
-   cancel-heavy workload — timer re-arms, poll timeouts — would otherwise
-   carry an arbitrarily large dead population through every merge.
-   Compaction runs when a shard's dead outnumber its live (> ~50% of its
-   population), which keeps the heap within 2x of the live set and costs
-   O(live) amortized against the cancels that triggered it.  Pop order is
-   unaffected: the (time, seq) key is a total order, so any heap shape
-   pops the same sequence. *)
-let compact sh =
-  let keep =
-    List.filter (fun h -> not h.cancelled) (Pheap.to_list_unordered sh.heap)
-  in
-  sh.heap <- Pheap.of_list ~cmp keep;
-  sh.s_cancelled <- 0
+(* Take the entry at slot [i] out: the last entry fills the hole and
+   moves up or down to where it belongs. *)
+let remove q i =
+  let heap = q.heap in
+  let last = q.size - 1 in
+  let moved = Array.unsafe_get heap last in
+  Array.unsafe_set heap last vacant;
+  q.size <- last;
+  if i < last then
+    if i > 0 && before moved (Array.unsafe_get heap ((i - 1) / 2)) then
+      sift_up heap moved i
+    else sift_down heap last moved i
 
 let cancel h =
-  if (not h.cancelled) && not h.fired then begin
-    h.cancelled <- true;
-    let q = h.owner in
-    let sh = q.shards.(h.shard) in
-    q.live <- q.live - 1;
-    sh.s_live <- sh.s_live - 1;
-    sh.s_cancelled <- sh.s_cancelled + 1;
-    if sh.s_cancelled > 64 && sh.s_cancelled > sh.s_live then compact sh
+  if h.pos >= 0 then begin
+    remove h.owner h.pos;
+    h.pos <- -1
   end
 
-let is_pending h = (not h.cancelled) && not h.fired
+let is_pending h = h.pos >= 0
 
-(* Live head of one shard; cancelled events that surface are dropped
-   (lazy deletion — compaction bounds how many can be in flight). *)
-let rec shard_peek sh =
-  match Pheap.peek_min sh.heap with
-  | None -> None
-  | Some h ->
-      if h.cancelled then begin
-        ignore (Pheap.pop_min sh.heap);
-        sh.s_cancelled <- sh.s_cancelled - 1;
-        shard_peek sh
-      end
-      else Some h
-
-(* The global head: min-merge over the shard heads by (time, seq).  The
-   shard count is the CPU count plus one, so the scan is a handful of
-   O(1) peeks per pop. *)
-let peek_live q =
-  let best = ref None in
-  Array.iter
-    (fun sh ->
-      match shard_peek sh with
-      | None -> ()
-      | Some h -> (
-          match !best with
-          | Some b when cmp b h <= 0 -> ()
-          | _ -> best := Some h))
-    q.shards;
-  !best
+(* [h] is the root. *)
+let fire q h =
+  remove q 0;
+  h.pos <- -1;
+  q.now <- h.time;
+  q.fired_count <- q.fired_count + 1;
+  h.action ()
 
 let run_one q =
-  match peek_live q with
-  | None -> false
-  | Some h ->
-      let sh = q.shards.(h.shard) in
-      ignore (Pheap.pop_min sh.heap) (* [h]: shard_peek cleaned the top *);
-      q.now <- h.time;
-      h.fired <- true;
-      sh.s_live <- sh.s_live - 1;
-      sh.s_fired <- sh.s_fired + 1;
-      q.live <- q.live - 1;
-      q.fired_count <- q.fired_count + 1;
-      q.firing_shard <- h.shard;
-      h.action ();
-      q.firing_shard <- -1;
-      true
+  if q.size = 0 then false
+  else begin
+    fire q (Array.unsafe_get q.heap 0);
+    true
+  end
 
-(* Earliest instant at which anything can happen: the first live event,
-   clamped to the horizon of the [run] currently draining us.  [None]
-   means nothing is pending and no horizon binds — the caller may run
-   ahead arbitrarily far. *)
+(* Earliest instant at which anything can happen: the first pending
+   event, clamped to the horizon of the [run] currently draining us.
+   [None] means nothing is pending and no horizon binds — the caller may
+   run ahead arbitrarily far. *)
 let next_time q =
-  let ev = match peek_live q with Some h -> Some h.time | None -> None in
-  match (ev, q.run_horizon) with
-  | None, h -> h
-  | t, None -> t
-  | Some t, Some h -> Some (Time.min t h)
+  if q.size = 0 then q.run_horizon
+  else
+    let t = (Array.unsafe_get q.heap 0).time in
+    match q.run_horizon with
+    | None -> Some t
+    | Some h -> Some (Time.min t h)
 
 let run ?until ?max_events q =
   let saved_horizon = q.run_horizon in
-  (match until with Some h -> q.run_horizon <- Some h | None -> ());
+  (match until with Some _ -> q.run_horizon <- until | None -> ());
   Fun.protect ~finally:(fun () -> q.run_horizon <- saved_horizon)
   @@ fun () ->
+  let budget = match max_events with Some m -> m | None -> max_int in
   let fired = ref 0 in
-  let continue () =
-    match max_events with None -> true | Some m -> !fired < m
-  in
-  let rec loop () =
-    if continue () then
-      match peek_live q with
-      | None -> ()
-      | Some h -> (
-          match until with
-          | Some horizon when Time.(h.time > horizon) -> q.now <- horizon
-          | _ ->
-              if run_one q then begin
-                incr fired;
-                loop ()
-              end)
-  in
-  loop ();
+  let stop = ref false in
+  while (not !stop) && !fired < budget && q.size > 0 do
+    let h = Array.unsafe_get q.heap 0 in
+    match until with
+    | Some horizon when Time.(h.time > horizon) ->
+        q.now <- horizon;
+        stop := true
+    | _ ->
+        fire q h;
+        incr fired
+  done;
   (* If we stopped on the horizon with an empty queue, still advance. *)
   (match until with
-  | Some horizon when q.live = 0 && Time.(q.now < horizon) -> q.now <- horizon
+  | Some horizon when q.size = 0 && Time.(q.now < horizon) -> q.now <- horizon
   | _ -> ());
   (* Queue drained (not horizon- or budget-limited): let observers look
      at the stalled machine.  A hook may schedule new events; we do not
      re-enter the loop for them — this is a post-mortem, not a phase. *)
-  if q.drain_hooks <> [] && peek_live q = None then
+  if q.drain_hooks <> [] && q.size = 0 then
     List.iter (fun f -> f ()) (List.rev q.drain_hooks)
 
-(* [live] is exact: cancels decrement it immediately. *)
-let pending_count q = q.live
-
-let heap_population q =
-  Array.fold_left (fun acc sh -> acc + Pheap.size sh.heap) 0 q.shards
-
+let pending_count q = q.size
 let events_fired q = q.fired_count
-
-(* --- per-shard introspection (procfs, parallel-scaling figure) -------- *)
-
-let shard_count q = Array.length q.shards
-
-(* A shard's frontier: the earliest instant anything can happen *in that
-   shard* — its conservative-lookahead bound.  [None]: shard empty, no
-   bound of its own. *)
-let shard_next_time q i = Option.map (fun h -> h.time) (shard_peek q.shards.(i))
-
-let shard_pending q i = q.shards.(i).s_live
-let shard_fired q i = q.shards.(i).s_fired
-let shard_cross_in q i = q.shards.(i).s_xin

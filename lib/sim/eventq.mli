@@ -8,26 +8,19 @@
 type t
 
 type handle
-(** A scheduled event.  Cancelling is O(1) (lazy deletion). *)
+(** A scheduled event.  It knows its own position in the queue, so
+    cancelling removes it at once, in O(log n). *)
 
-val create : ?shards:int -> unit -> t
-(** [shards] (default 1) partitions the queue into per-shard heaps —
-    the machine uses one shard per simulated CPU plus a global shard 0
-    for kernel-wide and device events.  Sharding never changes firing
-    order: events pop in the global (time, seq) total order via a
-    min-merge over the shard heads, bit-identical to a single heap.  It
-    exists for structure — per-shard frontiers, stats and cross-shard
-    traffic counts for the parallel engine and /proc. *)
+val create : unit -> t
 
 val now : t -> Time.t
 (** Current simulated time. *)
 
-val at : ?shard:int -> t -> Time.t -> (unit -> unit) -> handle
-(** [at q time f] schedules [f] to run at absolute [time], in [shard]
-    (default 0, the global shard).  Scheduling in the past or into an
-    out-of-range shard raises [Invalid_argument]. *)
+val at : t -> Time.t -> (unit -> unit) -> handle
+(** [at q time f] schedules [f] to run at absolute [time].  Scheduling in
+    the past raises [Invalid_argument]. *)
 
-val after : ?shard:int -> t -> Time.span -> (unit -> unit) -> handle
+val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after q d f] = [at q (now q + d) f]. *)
 
 val cancel : handle -> unit
@@ -51,7 +44,7 @@ val on_drain : t -> (unit -> unit) -> unit
 
 val next_time : t -> Time.t option
 (** Earliest instant at which anything can happen: the time of the first
-    live event, clamped to the [until] horizon of the {!run} currently
+    pending event, clamped to the [until] horizon of the {!run} currently
     draining this queue (if any).  [None] when nothing is pending and no
     horizon binds.  Used by run-ahead accounting to bound how far a
     fiber may execute without settling: no event can fire strictly
@@ -59,36 +52,7 @@ val next_time : t -> Time.t option
     window. *)
 
 val pending_count : t -> int
-(** Number of live (non-cancelled, unfired) events still queued.  Exact:
-    cancellation is accounted immediately even though the heap deletes
-    lazily. *)
-
-val heap_population : t -> int
-(** Entries physically in the heap, including cancelled ones awaiting
-    lazy deletion.  Compaction keeps this within ~2x of
-    [pending_count]; exposed for the cancel-churn tests. *)
+(** Number of events still queued (neither fired nor cancelled). *)
 
 val events_fired : t -> int
 (** Total events fired since creation (for stats and loop-bound tests). *)
-
-(** {2 Per-shard introspection}
-
-    Indexed [0 .. shard_count - 1]; shard 0 is the global shard. *)
-
-val shard_count : t -> int
-
-val shard_next_time : t -> int -> Time.t option
-(** The shard's frontier: earliest instant anything can happen in that
-    shard — the conservative-lookahead bound the parallel engine (and
-    /proc) report per shard.  [None] when the shard is empty. *)
-
-val shard_pending : t -> int -> int
-(** Live events queued in the shard. *)
-
-val shard_fired : t -> int -> int
-(** Events fired from the shard since creation. *)
-
-val shard_cross_in : t -> int -> int
-(** Events scheduled {e into} the shard from another shard's callback —
-    the cross-shard synchronization traffic (IPIs, wakeups, dispatches
-    onto another CPU). *)
