@@ -254,7 +254,7 @@ let sections =
       name = "server-1000conn";
       kernel = true;
       smoke_baseline_s = 0.042;
-      smoke_baseline_mw = 4.954e6;
+      smoke_baseline_mw = 3.256e6;
       full = server_conns ~conns:1000 ~cpus:4;
       smoke = server_conns ~conns:100 ~cpus:2;
     };
@@ -262,7 +262,7 @@ let sections =
       name = "server-100k";
       kernel = true;
       smoke_baseline_s = 0.094;
-      smoke_baseline_mw = 1.3667e7;
+      smoke_baseline_mw = 7.947e6;
       full = server_epoll_open ~conns:100_000 ~cpus:4;
       smoke = server_epoll_open ~conns:1_000 ~cpus:2;
     };
@@ -270,7 +270,7 @@ let sections =
       name = "server-compute";
       kernel = true;
       smoke_baseline_s = 0.002;
-      smoke_baseline_mw = 1.87e5;
+      smoke_baseline_mw = 1.35e5;
       full = server_compute ~conns:8 ~reqs:50;
       smoke = server_compute ~conns:4 ~reqs:10;
     };
@@ -278,7 +278,7 @@ let sections =
       name = "database";
       kernel = true;
       smoke_baseline_s = 0.004;
-      smoke_baseline_mw = 2.27e5;
+      smoke_baseline_mw = 1.65e5;
       full = database_mmap ~processes:2 ~threads:8 ~txns:800;
       smoke = database_mmap ~processes:2 ~threads:4 ~txns:60;
     };
@@ -286,7 +286,7 @@ let sections =
       name = "database-syscall";
       kernel = true;
       smoke_baseline_s = 0.002;
-      smoke_baseline_mw = 2.33e5;
+      smoke_baseline_mw = 1.43e5;
       full = database_syscall ~processes:4 ~threads:16 ~txns:250;
       smoke = database_syscall ~processes:2 ~threads:6 ~txns:15;
     };
@@ -294,7 +294,7 @@ let sections =
       name = "microbench-sync";
       kernel = true;
       smoke_baseline_s = 0.003;
-      smoke_baseline_mw = 4.74e5;
+      smoke_baseline_mw = 2.75e5;
       full = (fun ~coalesce -> ignore (Microbench.sync ~cost:(cost_of ~coalesce) ()));
       smoke = (fun ~coalesce -> ignore (Microbench.sync ~cost:(cost_of ~coalesce) ()));
     };
@@ -302,7 +302,7 @@ let sections =
       name = "kv-store";
       kernel = true;
       smoke_baseline_s = 0.001;
-      smoke_baseline_mw = 2.37e5;
+      smoke_baseline_mw = 1.33e5;
       full = kv_store ~procs:3 ~clients:24 ~reqs:16;
       smoke = kv_store ~procs:2 ~clients:8 ~reqs:5;
     };
@@ -310,7 +310,7 @@ let sections =
       name = "dispatch-storm";
       kernel = true;
       smoke_baseline_s = 0.006;
-      smoke_baseline_mw = 8.37e5;
+      smoke_baseline_mw = 3.65e5;
       full = dispatch_storm ~lwps:500 ~iters:200;
       smoke = dispatch_storm ~lwps:60 ~iters:20;
     };

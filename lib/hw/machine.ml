@@ -38,7 +38,9 @@ let ncpus t = Array.length t.cpus
 
 (* The interest check runs before kasprintf builds anything: with tracing
    disabled (or the tag filtered out) the format args are swallowed by
-   ikfprintf and the hot paths pay no string formatting at all. *)
+   ikfprintf, so no string is formatted.  The skip still allocates one
+   closure per argument; the kernel's call sites therefore test the
+   interest first ([Kernel_impl.tracing]) and skip the call entirely. *)
 let trace t ~tag fmt =
   if Sim.Tracebuf.interested t.trace ~tag then
     Format.kasprintf

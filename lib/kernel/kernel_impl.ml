@@ -7,9 +7,9 @@
    - an LWP's fiber runs only while its [lstate] is [Lrunning cpu];
    - all state transitions happen inside event callbacks, so they are
      totally ordered by simulated time;
-   - a [busy] interval models the CPU being held; completion callbacks
-     check the LWP is still running on that CPU (kills and stops may have
-     intervened) before acting. *)
+   - a [busy] interval models the CPU being held; its completion (the
+     LWP's completion slot, see [busy]) checks the LWP is still running
+     on that CPU (kills and stops may have intervened) before acting. *)
 
 open Ktypes
 module Time = Sunos_sim.Time
@@ -23,8 +23,12 @@ module Prioq = Sunos_sim.Prioq
 let cost k = k.machine.Machine.cost
 let now k = Machine.now k.machine
 let eventq k = k.machine.Machine.eventq
-let schedule k span f = ignore (Eventq.after (eventq k) span f)
 let trace k tag fmt = Machine.trace k.machine ~tag fmt
+
+(* Call sites test this before [trace]: a disabled [trace] still builds
+   an [ikfprintf] closure per format argument, so the guard is what makes
+   an unread trace cost no allocation. *)
+let tracing k tag = Sunos_sim.Tracebuf.interested k.machine.Machine.trace ~tag
 
 (* ------------------------------------------------------------------ *)
 (* Chaos (deterministic fault injection)                               *)
@@ -39,7 +43,7 @@ let chaos k = k.machine.Machine.chaos
    the record; with chaos off this never draws from the stream. *)
 let chaos_roll k ~site rate =
   if Faultgen.fire (chaos k) ~now:(now k) ~site rate then begin
-    trace k "chaos" "%s" site;
+    if tracing k "chaos" then trace k "chaos" "%s" site;
     true
   end
   else false
@@ -117,7 +121,11 @@ let enqueue k lwp =
    ran (state change), or changed priority; pruning them at the bucket
    front is the lazy half of the O(1) dequeue. *)
 let entry_live prio (lwp, gen, _seq) =
-  lwp.runq_gen = gen && lwp.lstate = Lrunnable && global_prio lwp = prio
+  lwp.runq_gen = gen
+  && (match lwp.lstate with
+     | Lrunnable -> true
+     | Lrunning _ | Lsleeping | Lstopped | Lzombie -> false)
+  && global_prio lwp = prio
 
 (* Exploration (Schedctl-driven) variant of [pick]: enumerate every
    live entry at the winning priority across both queues in enqueue-
@@ -134,16 +142,15 @@ let pick_driven k side =
       in
       if prio < 0 then None
       else begin
-        let keep = entry_live prio in
         (* prune dead fronts so the occupancy masks stay honest, exactly
-           as the passive peek does *)
-        ignore (Sunos_sim.Prioq.peek_live k.runq prio ~keep);
-        ignore (Sunos_sim.Prioq.peek_live side prio ~keep);
+           as the passive probe does *)
+        ignore (Prioq.prune k.runq prio ~keep:entry_live);
+        ignore (Prioq.prune side prio ~keep:entry_live);
         let cands =
           List.merge
             (fun (_, _, s1) (_, _, s2) -> compare (s1 : int) s2)
-            (Prioq.live_entries k.runq prio ~keep)
-            (Prioq.live_entries side prio ~keep)
+            (Prioq.live_entries k.runq prio ~keep:entry_live)
+            (Prioq.live_entries side prio ~keep:entry_live)
         in
         match cands with
         | [] -> at_prio (prio - 1)
@@ -160,58 +167,52 @@ let pick_driven k side =
   in
   at_prio max_global_prio
 
-(* Pop the best eligible LWP for [cpu]: the highest occupied priority
-   across the unbound queue and this CPU's side queue (two find-highest-
-   set probes), FIFO within the priority by enqueue sequence.  O(1)
-   amortized — no scanning, no skip-and-restore. *)
+let take q prio =
+  let lwp, _, _ = Prioq.front q prio in
+  Prioq.drop_front q prio;
+  Some lwp
+
+(* The highest occupied priority at or below [limit] across the unbound
+   queue and [side] (two find-highest-set probes), FIFO within it by
+   enqueue sequence.  Top-level and closure-free: the probe allocates
+   nothing but the result. *)
+let rec pick_below k side limit =
+  if limit < 0 then None
+  else
+    let prio = max (Prioq.top_below k.runq limit) (Prioq.top_below side limit) in
+    if prio < 0 then None
+    else
+      let in_side = Prioq.prune side prio ~keep:entry_live in
+      let in_runq = Prioq.prune k.runq prio ~keep:entry_live in
+      if in_runq && in_side then begin
+        let _, _, sg = Prioq.front k.runq prio in
+        let _, _, ss = Prioq.front side prio in
+        if sg < ss then take k.runq prio else take side prio
+      end
+      else if in_runq then take k.runq prio
+      else if in_side then take side prio
+      else pick_below k side (prio - 1)
+
+(* Pop the best eligible LWP for [cpu] from the unbound queue and this
+   CPU's side queue.  O(1) amortized — no scanning, no skip-and-restore. *)
 let pick k cpu =
   let side = k.cpu_runqs.(Cpu.id cpu) in
   if Sunos_sim.Schedctl.active () then pick_driven k side
-  else
-  let rec at_prio limit =
-    if limit < 0 then None
-    else
-      let prio = max (Prioq.top_below k.runq limit) (Prioq.top_below side limit) in
-      if prio < 0 then None
-      else
-        let keep = entry_live prio in
-        match
-          (Prioq.peek_live k.runq prio ~keep, Prioq.peek_live side prio ~keep)
-        with
-        | None, None -> at_prio (prio - 1)
-        | Some (lwp, _, _), None ->
-            Prioq.drop_front k.runq prio;
-            Some lwp
-        | None, Some (lwp, _, _) ->
-            Prioq.drop_front side prio;
-            Some lwp
-        | Some (lg, _, sg), Some (ls, _, ss) ->
-            if sg < ss then begin
-              Prioq.drop_front k.runq prio;
-              Some lg
-            end
-            else begin
-              Prioq.drop_front side prio;
-              Some ls
-            end
-  in
-  at_prio max_global_prio
+  else pick_below k side max_global_prio
 
 (* Cheap idle/preemption probe: stops at the first live entry instead of
    walking every queue (the bitmask skips empty priorities entirely). *)
+let rec runnable_below k side limit =
+  limit >= 0
+  &&
+  let prio = max (Prioq.top_below k.runq limit) (Prioq.top_below side limit) in
+  prio >= 0
+  && (Prioq.prune k.runq prio ~keep:entry_live
+     || Prioq.prune side prio ~keep:entry_live
+     || runnable_below k side (prio - 1))
+
 let runnable_exists_for k cpu =
-  let side = k.cpu_runqs.(Cpu.id cpu) in
-  let rec at_prio limit =
-    if limit < 0 then false
-    else
-      let prio = max (Prioq.top_below k.runq limit) (Prioq.top_below side limit) in
-      prio >= 0
-      && (let keep = entry_live prio in
-          Prioq.peek_live k.runq prio ~keep <> None
-          || Prioq.peek_live side prio ~keep <> None
-          || at_prio (prio - 1))
-  in
-  at_prio max_global_prio
+  runnable_below k k.cpu_runqs.(Cpu.id cpu) max_global_prio
 
 (* ------------------------------------------------------------------ *)
 (* The dispatch / step machine                                         *)
@@ -291,16 +292,22 @@ let grant_budget k cpu lwp =
   Uctx.grant ~budget
 
 let rec kick k =
-  gang_place k;
-  Array.iter
-    (fun cpu -> if Cpu.occupant cpu = None then try_dispatch k cpu)
-    k.machine.Machine.cpus
+  if Hashtbl.length k.gangs > 0 then gang_place k;
+  let cpus = k.machine.Machine.cpus in
+  for i = 0 to Array.length cpus - 1 do
+    let cpu = cpus.(i) in
+    match Cpu.occupant cpu with
+    | None -> try_dispatch k cpu
+    | Some _ -> ()
+  done
 
 and try_dispatch k cpu =
-  if Cpu.occupant cpu = None then
-    match pick k cpu with
-    | None -> Cpu.set_need_resched cpu false
-    | Some lwp -> place k cpu lwp
+  match Cpu.occupant cpu with
+  | Some _ -> ()
+  | None -> (
+      match pick k cpu with
+      | None -> Cpu.set_need_resched cpu false
+      | Some lwp -> place k cpu lwp)
 
 and place k cpu lwp =
   Cpu.set_occupant cpu ~now:(now k) (Some lwp.lid);
@@ -321,10 +328,10 @@ and place k cpu lwp =
                ~max_span:(Int64.div lwp.quantum_left 8L))
   | Sc_realtime _ -> ());
   Counter.incr k.ctr_dispatches;
-  trace k "dispatch" "cpu%d <- pid%d/lwp%d" (Cpu.id cpu) lwp.proc.pid lwp.lid;
+  if tracing k "dispatch" then
+    trace k "dispatch" "cpu%d <- pid%d/lwp%d" (Cpu.id cpu) lwp.proc.pid lwp.lid;
   (* Going through the dispatcher costs a kernel context switch. *)
-  schedule k (cost k).Cost.kernel_dispatch (fun () ->
-      if is_running_on lwp cpu then resume k cpu lwp)
+  busy k cpu lwp (cost k).Cost.kernel_dispatch B_dispatch
 
 (* Best-effort gang scheduling: the RUNNABLE members of a gang are placed
    all-or-nothing, so a barrier-released burst starts simultaneously on
@@ -367,9 +374,10 @@ and resume k cpu lwp =
         grant_budget k cpu lwp;
         step k cpu lwp (Uctx.run_fiber f)
     | P_charge (remaining, kont) ->
-        if Time.(remaining > 0L) then charge_slice k cpu lwp remaining kont
+        if Time.(remaining > 0L) then
+          charge_slice k cpu lwp remaining (Uctx.Step_charge (remaining, kont))
         else continue_charge k cpu lwp kont
-    | P_sysret (kont, ret) -> deliver_sysret k cpu lwp kont ret
+    | P_sysret (_, ret) -> deliver_sysret k cpu lwp ret
     | P_syswait _ | P_dead ->
         (* nothing to run: stale dispatch *)
         release_cpu k cpu;
@@ -386,10 +394,10 @@ and resume k cpu lwp =
    when the per-charge regime would have reached it. *)
 and step k cpu lwp (s : Uctx.step) =
   let prefix = Uctx.unsettled () in
-  if Time.(prefix > 0L) then
-    busy k cpu lwp prefix (fun () ->
-        lwp.quantum_left <- Time.diff lwp.quantum_left prefix;
-        dispatch_step k cpu lwp s)
+  if Time.(prefix > 0L) then begin
+    lwp.b_step <- s;
+    busy k cpu lwp prefix B_settle
+  end
   else dispatch_step k cpu lwp s
 
 and dispatch_step k cpu lwp (s : Uctx.step) =
@@ -400,19 +408,21 @@ and dispatch_step k cpu lwp (s : Uctx.step) =
       release_cpu k cpu;
       kick k
   | Uctx.Step_raised (e, bt) ->
-      trace k "panic" "pid%d/lwp%d uncaught exception: %s" lwp.proc.pid
-        lwp.lid (Printexc.to_string e);
+      if tracing k "panic" then
+        trace k "panic" "pid%d/lwp%d uncaught exception: %s" lwp.proc.pid
+          lwp.lid (Printexc.to_string e);
       ignore bt;
       proc_exit k lwp.proc ~status:139
-  | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp span kont
-  | Uctx.Step_sys (req, kont) ->
+  | Uctx.Step_charge (span, _) -> charge_slice k cpu lwp span s
+  | Uctx.Step_sys (_, kont) ->
       lwp.in_kernel <- true;
       lwp.pending <- P_syswait kont;
       Counter.incr k.ctr_syscalls;
       let c = cost k in
+      lwp.b_step <- s;
       busy k cpu lwp
         (Int64.add c.Cost.trap_entry c.Cost.syscall_fixed)
-        (fun () -> k.syscall_exec lwp req)
+        B_sys_entry
 
 (* Resume a charge continuation whose span is fully accounted. *)
 and continue_charge k cpu lwp kont =
@@ -420,27 +430,85 @@ and continue_charge k cpu lwp kont =
   grant_budget k cpu lwp;
   step k cpu lwp (Effect.Deep.continue kont (sig_flag lwp))
 
-(* Hold the CPU for [span], accounting it to the LWP, then run [fin].
-   If the LWP lost the CPU meanwhile (kill, stop at a boundary), the
-   completion is dropped — whoever took the CPU away owns the next move. *)
-and busy k cpu lwp span fin =
-  schedule k span (fun () ->
-      if is_running_on lwp cpu then begin
-        account k lwp span;
-        (* other LWPs may have run during this interval: restore this
-           LWP's register context (current-thread pointer) before any of
-           its code continues *)
-        lwp.on_resume ();
-        fin ()
-      end)
+(* Hold the CPU for [span], accounting it to the LWP, then do [next]
+   with the data the caller left in the slot.  There is no closure per
+   interval: the event's action is the LWP's own [b_fire].  An LWP holds
+   one CPU and runs one step at a time, so at most one completion of its
+   can be live; a new one is armed only once the last has fired. *)
+and busy k cpu lwp span next =
+  assert (not (Eventq.is_pending lwp.b_handle));
+  lwp.b_next <- next;
+  lwp.b_cpu <- Cpu.id cpu;
+  lwp.b_span <- span;
+  lwp.b_handle <- Eventq.after (eventq k) span lwp.b_fire
 
-and charge_slice k cpu lwp span kont =
+(* [busy] with an arbitrary continuation, for syscall service bodies
+   (exec, connect, lwp_exit, lwp_park). *)
+and busy_call k cpu lwp span fin =
+  lwp.b_call <- fin;
+  busy k cpu lwp span B_call
+
+(* The slot's event.  If the LWP lost the CPU meanwhile (kill, stop at a
+   boundary), the completion is dropped — whoever took the CPU away owns
+   the next move.  Either way the slot drops its step or closure first,
+   so a parked or dead LWP keeps no continuation alive, and the next
+   step may re-arm it. *)
+and fire k lwp =
+  let next = lwp.b_next and span = lwp.b_span in
+  let s = lwp.b_step and ret = lwp.b_ret and fin = lwp.b_call in
+  lwp.b_next <- B_idle;
+  (match next with
+  | B_settle | B_sys_entry | B_slice -> lwp.b_step <- Uctx.Step_done
+  | B_call -> lwp.b_call <- ignore
+  | B_idle | B_dispatch | B_complete | B_sysret -> ());
+  let cpu = k.machine.Machine.cpus.(lwp.b_cpu) in
+  if is_running_on lwp cpu then
+    match next with
+    | B_idle -> assert false
+    | B_dispatch -> resume k cpu lwp
+    | B_settle ->
+        held k lwp span;
+        lwp.quantum_left <- Time.diff lwp.quantum_left span;
+        dispatch_step k cpu lwp s
+    | B_sys_entry -> (
+        held k lwp span;
+        match s with
+        | Uctx.Step_sys (req, _) -> k.syscall_exec lwp req
+        | _ -> assert false)
+    | B_slice ->
+        held k lwp span;
+        slice_done k cpu lwp span s
+    | B_complete ->
+        held k lwp span;
+        complete_done k cpu lwp ret
+    | B_sysret ->
+        held k lwp span;
+        sysret_done k cpu lwp ret
+    | B_call ->
+        held k lwp span;
+        fin ()
+
+(* The interval was spent on the LWP's behalf: account it, and — other
+   LWPs may have run meanwhile — restore its register context (current-
+   thread pointer) before any of its code continues. *)
+and held k lwp span =
+  account k lwp span;
+  lwp.on_resume ()
+
+(* The slot carries a charge's continuation inside its [Step_charge]
+   (whose own span field is not read: the owed span is [b_rem]). *)
+and charge_kont (s : Uctx.step) =
+  match s with
+  | Uctx.Step_charge (_, kont) -> kont
+  | _ -> invalid_arg "charge_kont"
+
+and charge_slice k cpu lwp span s =
   let misplaced_now =
     match lwp.bound_cpu with Some c -> c <> Cpu.id cpu | None -> false
   in
   if misplaced_now then begin
     (* newly bound elsewhere: migrate before burning any time here *)
-    lwp.pending <- P_charge (span, kont);
+    lwp.pending <- P_charge (span, charge_kont s);
     lwp.lstate <- Lrunnable;
     enqueue k lwp;
     release_cpu k cpu;
@@ -449,51 +517,67 @@ and charge_slice k cpu lwp span kont =
   else
   let slice = Time.min span lwp.quantum_left in
   let slice = if Time.(slice <= 0L) then span else slice in
-  busy k cpu lwp slice (fun () ->
-      let remaining = Time.diff span slice in
-      lwp.quantum_left <- Time.diff lwp.quantum_left slice;
-      if lwp.proc.stopped then begin
-        (* stop takes effect at the charge boundary *)
-        lwp.pending <- P_charge (remaining, kont);
-        lwp.lstate <- Lstopped;
-        release_cpu k cpu;
-        try_dispatch k cpu
-      end
-      else
-        let quantum_expired = Time.(lwp.quantum_left <= 0L) in
-        let misplaced =
-          match lwp.bound_cpu with
-          | Some c -> c <> Cpu.id cpu
-          | None -> false
-        in
-        let should_preempt =
-          misplaced
-          || (Cpu.need_resched cpu || quantum_expired)
-             && runnable_exists_for k cpu
-        in
-        if should_preempt then begin
-          Counter.incr k.ctr_preemptions;
-          if quantum_expired then ts_penalty lwp;
-          trace k "preempt" "cpu%d drops pid%d/lwp%d" (Cpu.id cpu)
-            lwp.proc.pid lwp.lid;
-          lwp.pending <- P_charge (remaining, kont);
-          lwp.lstate <- Lrunnable;
-          enqueue k lwp;
-          release_cpu k cpu;
-          kick k
-        end
-        else begin
-          if quantum_expired then lwp.quantum_left <- quantum_for k lwp;
-          if Time.(remaining > 0L) then charge_slice k cpu lwp remaining kont
-          else continue_charge k cpu lwp kont
-        end)
+  lwp.b_step <- s;
+  lwp.b_rem <- Time.diff span slice;
+  busy k cpu lwp slice B_slice
 
-and deliver_sysret k cpu lwp kont ret =
-  busy k cpu lwp (cost k).Cost.trap_exit (fun () ->
-      lwp.in_kernel <- false;
-      lwp.pending <- P_dead;
-      grant_budget k cpu lwp;
-      step k cpu lwp (Effect.Deep.continue kont ret))
+and slice_done k cpu lwp slice s =
+  let remaining = lwp.b_rem in
+  lwp.quantum_left <- Time.diff lwp.quantum_left slice;
+  if lwp.proc.stopped then begin
+    (* stop takes effect at the charge boundary *)
+    lwp.pending <- P_charge (remaining, charge_kont s);
+    lwp.lstate <- Lstopped;
+    release_cpu k cpu;
+    try_dispatch k cpu
+  end
+  else
+    let quantum_expired = Time.(lwp.quantum_left <= 0L) in
+    let misplaced =
+      match lwp.bound_cpu with
+      | Some c -> c <> Cpu.id cpu
+      | None -> false
+    in
+    let should_preempt =
+      misplaced
+      || (Cpu.need_resched cpu || quantum_expired)
+         && runnable_exists_for k cpu
+    in
+    if should_preempt then begin
+      Counter.incr k.ctr_preemptions;
+      if quantum_expired then ts_penalty lwp;
+      if tracing k "preempt" then
+        trace k "preempt" "cpu%d drops pid%d/lwp%d" (Cpu.id cpu)
+          lwp.proc.pid lwp.lid;
+      lwp.pending <- P_charge (remaining, charge_kont s);
+      lwp.lstate <- Lrunnable;
+      enqueue k lwp;
+      release_cpu k cpu;
+      kick k
+    end
+    else begin
+      if quantum_expired then lwp.quantum_left <- quantum_for k lwp;
+      if Time.(remaining > 0L) then charge_slice k cpu lwp remaining s
+      else continue_charge k cpu lwp (charge_kont s)
+    end
+
+(* Return to user mode.  The caller's continuation stays where the
+   syscall left it — [P_syswait], or [P_sysret] when a preempted or
+   stopped return is being resumed — until the trap exit is paid. *)
+and deliver_sysret k cpu lwp ret =
+  lwp.b_ret <- ret;
+  busy k cpu lwp (cost k).Cost.trap_exit B_sysret
+
+and sysret_done k cpu lwp ret =
+  let kont =
+    match lwp.pending with
+    | P_syswait kont | P_sysret (kont, _) -> kont
+    | P_start _ | P_charge _ | P_dead -> invalid_arg "sysret_done"
+  in
+  lwp.in_kernel <- false;
+  lwp.pending <- P_dead;
+  grant_budget k cpu lwp;
+  step k cpu lwp (Effect.Deep.continue kont ret)
 
 (* CPU-time accounting: drives virtual/profiling interval timers, the
    profil(2) tick counter and the CPU resource limit. *)
@@ -557,41 +641,46 @@ and make_runnable k lwp =
 
 and preempt_check k lwp =
   (* If every CPU is busy and some CPU runs lower-priority work, ask it
-     to reschedule at its next charge boundary. *)
+     to reschedule at its next charge boundary: the lowest-priority
+     eligible occupant, the first such CPU on a tie. *)
   let prio = global_prio lwp in
-  let best : (Cpu.t * int) option ref = ref None in
-  Array.iter
-    (fun cpu ->
-      match Cpu.occupant cpu with
-      | None -> ()
-      | Some lid -> (
-          match find_lwp_by_lid k lwp.proc lid with
-          | Some running when global_prio running < prio -> (
-              let eligible =
-                match lwp.bound_cpu with
-                | Some c -> c = Cpu.id cpu
-                | None -> true
-              in
-              if eligible then
-                match !best with
-                | Some (_, p) when p <= global_prio running -> ()
-                | _ -> best := Some (cpu, global_prio running))
-          | _ -> ()))
-    k.machine.Machine.cpus;
-  match !best with
-  | Some (cpu, _) -> Cpu.set_need_resched cpu true
-  | None -> ()
+  let cpus = k.machine.Machine.cpus in
+  let best = ref (-1) and best_prio = ref prio in
+  for i = 0 to Array.length cpus - 1 do
+    let cpu = cpus.(i) in
+    match Cpu.occupant cpu with
+    | None -> ()
+    | Some lid -> (
+        match find_lwp_by_lid k lid with
+        | exception Not_found -> ()
+        | running ->
+            let p = global_prio running in
+            let eligible =
+              match lwp.bound_cpu with
+              | Some c -> c = Cpu.id cpu
+              | None -> true
+            in
+            if eligible && p < !best_prio then begin
+              best := i;
+              best_prio := p
+            end)
+  done;
+  if !best >= 0 then Cpu.set_need_resched cpus.(!best) true
 
-(* Occupants may belong to any process; search the whole table. *)
-and find_lwp_by_lid k _hint lid =
-  let rec in_procs = function
-    | [] -> None
-    | p :: rest -> (
-        match List.find_opt (fun l -> l.lid = lid) p.lwps with
-        | Some l -> Some l
-        | None -> in_procs rest)
-  in
-  in_procs k.procs
+(* Occupants may belong to any process; search the whole table.  Raises
+   [Not_found] rather than returning an option, so the probe allocates
+   nothing; one walk over every process's LWPs, raising only at the
+   end. *)
+and find_lwp_by_lid k lid = lwp_in_procs lid k.procs
+
+and lwp_in_procs lid = function
+  | [] -> raise Not_found
+  | p :: rest -> lwp_in_list lid p.lwps rest
+
+and lwp_in_list lid lwps procs =
+  match lwps with
+  | [] -> lwp_in_procs lid procs
+  | l :: more -> if l.lid = lid then l else lwp_in_list lid more procs
 
 (* ------------------------------------------------------------------ *)
 (* Sleep and wakeup                                                    *)
@@ -613,8 +702,9 @@ and block k lwp ~wchan ~interruptible ~indefinite ~cancel =
       };
   lwp.wchan <- wchan;
   lwp.lstate <- Lsleeping;
-  trace k "sleep" "pid%d/lwp%d on %s%s" lwp.proc.pid lwp.lid wchan
-    (if indefinite then " (indefinite)" else "");
+  if tracing k "sleep" then
+    trace k "sleep" "pid%d/lwp%d on %s%s" lwp.proc.pid lwp.lid wchan
+      (if indefinite then " (indefinite)" else "");
   release_cpu k cpu;
   if interruptible && sig_flag lwp then
     (* a signal became deliverable while we were running: an
@@ -672,25 +762,27 @@ and check_sigwaiting k proc =
      posting SIGWAITING too would interrupt their indefinite waits
      (poll, accept) in a storm: the upcall unparks an idle LWP, the
      unpark re-arms the edge, the LWP re-parks, SIGWAITING fires ... *)
-  if proc.upcall_on_block then ()
-  else
-  let live = live_lwps proc in
-  let all_indefinite =
-    live <> []
-    && List.for_all
-         (fun l ->
-           match (l.lstate, l.sleep) with
-           | Lsleeping, Some sl -> sl.sl_indefinite
-           | _ -> false)
-         live
-  in
-  if all_indefinite && proc.sigwaiting_armed then begin
+  if proc.sigwaiting_armed && (not proc.upcall_on_block)
+     && all_live_indefinite false proc.lwps
+  then begin
     proc.sigwaiting_armed <- false;
     Counter.incr k.ctr_sigwaiting;
-    trace k "sigwaiting" "pid%d: all %d LWPs in indefinite waits" proc.pid
-      (List.length live);
+    if tracing k "sigwaiting" then
+      trace k "sigwaiting" "pid%d: all %d LWPs in indefinite waits" proc.pid
+        (List.length (live_lwps proc));
     k.hook_post_proc proc Signo.sigwaiting
   end
+
+(* Some LWP is live and every live LWP sleeps indefinitely ([seen]: a
+   live one was met).  One pass, no intermediate list. *)
+and all_live_indefinite seen = function
+  | [] -> seen
+  | l :: rest -> (
+      match (l.lstate, l.sleep) with
+      | Lzombie, _ -> all_live_indefinite seen rest
+      | Lsleeping, Some sl when sl.sl_indefinite ->
+          all_live_indefinite true rest
+      | _ -> false)
 
 (* Arm a wakeup-with-[ret] after [span] unless the sleep ends first. *)
 and set_sleep_timeout k lwp span ret =
@@ -771,7 +863,8 @@ and robust_sweep k channels =
   List.iter
     (fun (seg_id, offset) ->
       let woken = futex_wake_all k ~seg_id ~offset in
-      trace k "ownerdead" "seg%d+%d woke=%d" seg_id offset woken)
+      if tracing k "ownerdead" then
+        trace k "ownerdead" "seg%d+%d woke=%d" seg_id offset woken)
     channels
 
 (* ------------------------------------------------------------------ *)
@@ -785,27 +878,29 @@ and complete k lwp ?(op_cost = 0L) ret =
   match lwp.lstate with
   | Lrunnable | Lsleeping | Lstopped | Lzombie ->
       () (* the syscall killed / blocked the caller; nothing to deliver *)
-  | Lrunning _ ->
-  let cpu = cpu_of k lwp in
-  busy k cpu lwp op_cost (fun () ->
-      match lwp.pending with
-      | P_syswait kont ->
-          if lwp.proc.stopped then begin
-            lwp.pending <- P_sysret (kont, ret);
-            lwp.lstate <- Lstopped;
-            release_cpu k cpu;
-            try_dispatch k cpu
-          end
-          else if Cpu.need_resched cpu && runnable_exists_for k cpu then begin
-            Counter.incr k.ctr_preemptions;
-            lwp.pending <- P_sysret (kont, ret);
-            lwp.lstate <- Lrunnable;
-            enqueue k lwp;
-            release_cpu k cpu;
-            try_dispatch k cpu
-          end
-          else deliver_sysret k cpu lwp kont ret
-      | P_dead | P_start _ | P_charge _ | P_sysret _ -> ())
+  | Lrunning c ->
+      lwp.b_ret <- ret;
+      busy k k.machine.Machine.cpus.(c) lwp op_cost B_complete
+
+and complete_done k cpu lwp ret =
+  match lwp.pending with
+  | P_syswait kont ->
+      if lwp.proc.stopped then begin
+        lwp.pending <- P_sysret (kont, ret);
+        lwp.lstate <- Lstopped;
+        release_cpu k cpu;
+        try_dispatch k cpu
+      end
+      else if Cpu.need_resched cpu && runnable_exists_for k cpu then begin
+        Counter.incr k.ctr_preemptions;
+        lwp.pending <- P_sysret (kont, ret);
+        lwp.lstate <- Lrunnable;
+        enqueue k lwp;
+        release_cpu k cpu;
+        try_dispatch k cpu
+      end
+      else deliver_sysret k cpu lwp ret
+  | P_dead | P_start _ | P_charge _ | P_sysret _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -885,8 +980,18 @@ and make_lwp k proc ~entry ~cls =
       prof_on = false;
       prof_ticks = 0;
       runq_gen = 0;
+      b_next = B_idle;
+      b_cpu = 0;
+      b_span = 0L;
+      b_step = Uctx.Step_done;
+      b_rem = 0L;
+      b_ret = Sysdefs.R_ok;
+      b_call = ignore;
+      b_handle = Eventq.inert;
+      b_fire = ignore;
     }
   in
+  lwp.b_fire <- (fun () -> fire k lwp);
   proc.lwps <- proc.lwps @ [ lwp ];
   (match cls with
   | Sc_gang gid ->
@@ -905,7 +1010,8 @@ and make_lwp k proc ~entry ~cls =
 and spawn_process k ~name ~main =
   let proc = make_proc k ~name ~parent:None in
   let lwp = make_lwp k proc ~entry:main ~cls:(Sc_timeshare { ts_pri = 29 }) in
-  trace k "spawn" "pid%d (%s) created with lwp%d" proc.pid name lwp.lid;
+  if tracing k "spawn" then
+    trace k "spawn" "pid%d (%s) created with lwp%d" proc.pid name lwp.lid;
   make_runnable k lwp;
   proc
 
@@ -930,7 +1036,8 @@ and lwp_exit_internal k lwp =
   lwp.pending <- P_dead;
   gang_remove k lwp;
   lwp.proc.lwps <- List.filter (fun l -> l != lwp) lwp.proc.lwps;
-  trace k "lwp_exit" "pid%d/lwp%d" lwp.proc.pid lwp.lid;
+  if tracing k "lwp_exit" then
+    trace k "lwp_exit" "pid%d/lwp%d" lwp.proc.pid lwp.lid;
   (match cpu with
   | Some c -> release_cpu k c
   | None -> ());
@@ -980,7 +1087,8 @@ and proc_exit k proc ~status =
     proc.exit_status <- status;
     proc.pstate <- Pzombie;
     proc.stopped <- false;
-    trace k "exit" "pid%d (%s) status=%d" proc.pid proc.pname status;
+    if tracing k "exit" then
+      trace k "exit" "pid%d (%s) status=%d" proc.pid proc.pname status;
     (* Tear down every LWP.  Sleeping ones are deregistered from their
        wait structures; running ones lose their CPUs; queued ones become
        stale entries. *)

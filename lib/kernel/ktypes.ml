@@ -28,6 +28,22 @@ type pending =
       (* blocked in a syscall; a waker will supply the result *)
   | P_dead
 
+(* What an LWP's pending completion does when it fires (see
+   Kernel_impl.busy).  Constant constructors only: the data a kind needs
+   lives in the LWP's slot fields, so arming a completion allocates
+   nothing but the event itself. *)
+type busy_next =
+  | B_idle  (* nothing armed *)
+  | B_dispatch  (* kernel dispatch paid: resume the LWP (not accounted) *)
+  | B_settle  (* coalesced prefix paid: dispatch the step in [b_step] *)
+  | B_sys_entry  (* trap entry paid: execute the request in [b_step] *)
+  | B_slice
+      (* charge slice paid: [b_rem] still owed on the charge whose
+         continuation [b_step] carries *)
+  | B_complete  (* syscall operation paid: return [b_ret] *)
+  | B_sysret  (* trap exit paid: resume the caller with [b_ret] *)
+  | B_call  (* run [b_call] (syscall service bodies) *)
+
 type ts_state = { mutable ts_pri : int }
 
 type sched_class = Sc_timeshare of ts_state | Sc_realtime of int | Sc_gang of int
@@ -68,6 +84,19 @@ type lwp = {
   mutable runq_gen : int;
       (* incremented on every enqueue; stale run-queue entries (older
          generation) are skipped at pick time, which makes dequeue lazy *)
+  (* The completion slot: the one busy interval (or dispatch) this LWP
+     has in flight.  [b_fire], allocated once per LWP, is the action of
+     every such event; the fields below say what it does.  At most one
+     completion per LWP is live ([b_handle] pending) at any time. *)
+  mutable b_next : busy_next;
+  mutable b_cpu : int;  (* the CPU the interval holds *)
+  mutable b_span : Time.span;  (* the interval, accounted when it fires *)
+  mutable b_step : Uctx.step;
+  mutable b_rem : Time.span;
+  mutable b_ret : Sysdefs.sysret;
+  mutable b_call : unit -> unit;
+  mutable b_handle : Sunos_sim.Eventq.handle;
+  mutable b_fire : unit -> unit;
 }
 
 and proc = {

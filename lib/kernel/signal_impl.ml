@@ -26,7 +26,8 @@ let rec default_action k proc signo =
 and stop_proc k proc =
   if (not proc.stopped) && proc.pstate = Palive then begin
     proc.stopped <- true;
-    K.trace k "stop" "pid%d stopped" proc.pid;
+    if K.tracing k "stop" then
+      K.trace k "stop" "pid%d stopped" proc.pid;
     List.iter
       (fun l ->
         match l.lstate with
@@ -42,7 +43,8 @@ and stop_proc k proc =
 and cont_proc k proc =
   if proc.stopped && proc.pstate = Palive then begin
     proc.stopped <- false;
-    K.trace k "continue" "pid%d continued" proc.pid;
+    if K.tracing k "continue" then
+      K.trace k "continue" "pid%d continued" proc.pid;
     List.iter
       (fun l -> if l.lstate = Lstopped then K.make_runnable k l)
       proc.lwps
@@ -88,7 +90,8 @@ let pick_recipient proc signo =
 (* Process-directed signal (an "interrupt" in the paper's terms). *)
 let post_proc k proc signo =
   if proc.pstate = Palive then begin
-    K.trace k "signal" "pid%d <- %s" proc.pid (Signo.name signo);
+    if K.tracing k "signal" then
+      K.trace k "signal" "pid%d <- %s" proc.pid (Signo.name signo);
     if signo = Signo.sigkill then K.proc_exit k proc ~status:(128 + signo)
     else begin
       if signo = Signo.sigcont then cont_proc k proc;
@@ -108,7 +111,9 @@ let post_proc k proc signo =
 let post_lwp k lwp signo =
   let proc = lwp.proc in
   if proc.pstate = Palive && lwp_alive lwp then begin
-    K.trace k "signal" "pid%d/lwp%d <- %s" proc.pid lwp.lid (Signo.name signo);
+    if K.tracing k "signal" then
+      K.trace k "signal" "pid%d/lwp%d <- %s" proc.pid lwp.lid
+        (Signo.name signo);
     if signo = Signo.sigkill then K.proc_exit k proc ~status:(128 + signo)
     else
       match proc.handlers.(signo) with

@@ -228,8 +228,9 @@ let rec sock_accept_blocking k lwp l ~alive =
               | Some ep ->
                   alive := false;
                   let fd = install_fd lwp.proc (Fd_sock ep) in
-                  K.trace k "accept" "pid%d accepts on %s -> fd%d"
-                    lwp.proc.pid (Socket.listener_name l) fd;
+                  if K.tracing k "accept" then
+                    K.trace k "accept" "pid%d accepts on %s -> fd%d"
+                      lwp.proc.pid (Socket.listener_name l) fd;
                   K.wake k lwp (R_int fd)
               | None ->
                   (* another acceptor got there first *)
@@ -405,9 +406,10 @@ let do_exec k lwp ~name ~main =
   lwp.lwp_sig_pending <- [];
   lwp.on_resume <- ignore;
   proc.pname <- name;
-  K.trace k "exec" "pid%d becomes %s" proc.pid name;
+  if K.tracing k "exec" then
+    K.trace k "exec" "pid%d becomes %s" proc.pid name;
   let cpu = K.cpu_of k lwp in
-  K.busy k cpu lwp c.Cost.exec_cost (fun () ->
+  K.busy_call k cpu lwp c.Cost.exec_cost (fun () ->
       lwp.in_kernel <- false;
       lwp.pending <- P_start main;
       K.resume k cpu lwp)
@@ -467,8 +469,9 @@ let execute k lwp req =
     when proc.parent <> None
          && (match req with Sys_exit _ | Sys_fork _ -> false | _ -> true)
          && K.chaos_roll k ~site:"proc-kill" (chp k).proc_kill ->
-      K.trace k "chaos" "proc-kill pid%d (%s) in %s" proc.pid proc.pname
-        (sysreq_name req);
+      if K.tracing k "chaos" then
+        K.trace k "chaos" "proc-kill pid%d (%s) in %s" proc.pid proc.pname
+          (sysreq_name req);
       K.proc_exit k proc ~status:137
   | Sys_getpid -> K.complete k lwp (R_int proc.pid)
   | Sys_getlwpid -> K.complete k lwp (R_int lwp.lid)
@@ -618,8 +621,9 @@ let execute k lwp req =
       | Some _ -> K.complete k lwp (R_err Errno.EINVAL))
   | Sys_note_shed ->
       proc.shed_count <- proc.shed_count + 1;
-      K.trace k "shed" "pid%d sheds a connection (total %d)" proc.pid
-        proc.shed_count;
+      if K.tracing k "shed" then
+        K.trace k "shed" "pid%d sheds a connection (total %d)" proc.pid
+          proc.shed_count;
       K.complete k lwp R_ok
   | Sys_write (fd, data) -> (
       match lookup_fd proc fd with
@@ -776,8 +780,9 @@ let execute k lwp req =
       | Error `Addr_in_use -> K.complete k lwp (R_err Errno.EADDRINUSE)
       | Ok l ->
           let fd = install_fd proc (Fd_sock_listen l) in
-          K.trace k "listen" "pid%d listens on %s backlog=%d fd%d" proc.pid
-            name backlog fd;
+          if K.tracing k "listen" then
+            K.trace k "listen" "pid%d listens on %s backlog=%d fd%d" proc.pid
+              name backlog fd;
           K.complete k lwp ~op_cost:c.Cost.sock_listen (R_int fd))
   | Sys_connect name ->
       (* Pay the client-side protocol processing, then wait out the
@@ -785,7 +790,7 @@ let execute k lwp req =
          arrives at the listener — a connect racing a listen within one
          RTT therefore succeeds, and a full backlog refuses it. *)
       let cpu = K.cpu_of k lwp in
-      K.busy k cpu lwp c.Cost.sock_connect (fun () ->
+      K.busy_call k cpu lwp c.Cost.sock_connect (fun () ->
           K.block k lwp ~wchan:"connect" ~interruptible:false
             ~indefinite:false
             ~cancel:(fun () -> ());
@@ -795,7 +800,8 @@ let execute k lwp req =
               | None -> ()
               | Some _ -> (
                   let refused () =
-                    K.trace k "connect" "pid%d -> %s refused" proc.pid name;
+                    if K.tracing k "connect" then
+                      K.trace k "connect" "pid%d -> %s refused" proc.pid name;
                     K.wake k lwp (R_err Errno.ECONNREFUSED)
                   in
                   if K.chaos_roll k ~site:"conn-refuse" (chp k).conn_refuse
@@ -815,8 +821,9 @@ let execute k lwp req =
                       | None -> refused ()
                       | Some client_ep ->
                           let fd = install_fd proc (Fd_sock client_ep) in
-                          K.trace k "connect" "pid%d -> %s fd%d" proc.pid
-                            name fd;
+                          if K.tracing k "connect" then
+                            K.trace k "connect" "pid%d -> %s fd%d" proc.pid
+                              name fd;
                           K.wake k lwp (R_int fd)))))
   | Sys_accept (fd, nonblock) -> (
       match lookup_fd proc fd with
@@ -830,8 +837,9 @@ let execute k lwp req =
             match Socket.accept l with
             | Some ep ->
                 let nfd = install_fd proc (Fd_sock ep) in
-                K.trace k "accept" "pid%d accepts on %s -> fd%d" proc.pid
-                  (Socket.listener_name l) nfd;
+                if K.tracing k "accept" then
+                  K.trace k "accept" "pid%d accepts on %s -> fd%d" proc.pid
+                    (Socket.listener_name l) nfd;
                 K.complete k lwp ~op_cost:c.Cost.sock_accept (R_int nfd)
             | None when Socket.listener_closed l ->
                 (* a closed listener can never produce a connection:
@@ -868,7 +876,8 @@ let execute k lwp req =
   | Sys_epoll_create ->
       let ep = Epoll.create ~id:proc.next_fd in
       let fd = install_fd proc (Fd_epoll ep) in
-      K.trace k "epoll" "pid%d epoll_create -> fd%d" proc.pid fd;
+      if K.tracing k "epoll" then
+        K.trace k "epoll" "pid%d epoll_create -> fd%d" proc.pid fd;
       K.complete k lwp ~op_cost:c.Cost.sock_op (R_int fd)
   | Sys_epoll_ctl (epfd, fd, op) -> (
       match lookup_fd proc epfd with
@@ -1017,7 +1026,7 @@ let execute k lwp req =
   | Sys_lwp_exit ->
       (* charge the destruction before the LWP disappears *)
       let cpu = K.cpu_of k lwp in
-      K.busy k cpu lwp c.Cost.lwp_destroy (fun () ->
+      K.busy_call k cpu lwp c.Cost.lwp_destroy (fun () ->
           K.lwp_exit_internal k lwp)
   | Sys_lwp_park timeout ->
       if lwp.park_token then begin
@@ -1027,7 +1036,7 @@ let execute k lwp req =
       else begin
         (* pay for the sleep-queue insertion before giving up the CPU *)
         let cpu = K.cpu_of k lwp in
-        K.busy k cpu lwp c.Cost.sleep_enqueue (fun () ->
+        K.busy_call k cpu lwp c.Cost.sleep_enqueue (fun () ->
             (* an unpark may have landed during the enqueue interval: it
                saw parked=false and left a token.  Consume it instead of
                blocking, or the wakeup is lost for good — nothing ever
@@ -1048,7 +1057,8 @@ let execute k lwp req =
               && K.chaos_roll k ~site:"lwp-reap" (chp k).lwp_reap
             then begin
               lwp.parked <- false;
-              K.trace k "chaos" "lwp-reap kills pid%d/lwp%d" proc.pid lwp.lid;
+              if K.tracing k "chaos" then
+                K.trace k "chaos" "lwp-reap kills pid%d/lwp%d" proc.pid lwp.lid;
               K.lwp_exit_internal k lwp
             end
             else begin

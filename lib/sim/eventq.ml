@@ -138,6 +138,8 @@ let cancel h =
 
 let is_pending h = h.pos >= 0
 
+let inert = vacant
+
 (* [h] is the root. *)
 let fire q h =
   remove q 0;

@@ -28,6 +28,10 @@ val cancel : handle -> unit
 
 val is_pending : handle -> bool
 
+val inert : handle
+(** A handle that is never pending: the initial value of a slot that
+    stores the handle of its last scheduled event. *)
+
 val run_one : t -> bool
 (** Fire the next event, advancing the clock.  [false] if queue empty. *)
 

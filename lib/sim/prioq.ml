@@ -4,7 +4,7 @@
    buckets, so "highest occupied priority" is a find-highest-set over a
    couple of words instead of a scan of every level.  Consumers that use
    lazy deletion (the dispatcher's stale run-queue entries) prune dead
-   entries from bucket fronts through [peek_live]; the mask tracks
+   entries from bucket fronts through [prune]; the mask tracks
    non-emptiness exactly, and is therefore only conservative about
    *liveness* — a set bit may cover a bucket holding nothing but stale
    entries until a prune drains it.  Every pruned entry was pushed once,
@@ -73,19 +73,22 @@ let top_below t p =
 
 let top t = top_below t (levels t - 1)
 
-(* Drop entries failing [keep] from the front of bucket [prio]; return the
-   first surviving entry without removing it.  Clears the occupancy bit if
-   the prune empties the bucket. *)
-let peek_live t prio ~keep =
+(* Drop entries failing [keep prio] from the front of bucket [prio];
+   [true] iff a live entry is left at the front.  Clears the occupancy
+   bit if the prune empties the bucket.  A loop rather than a local
+   recursive function, so a probe allocates nothing. *)
+let prune t prio ~keep =
   let q = t.buckets.(prio) in
-  let rec go () =
-    match Queue.peek_opt q with
-    | None ->
-        clear_bit t prio;
-        None
-    | Some x -> if keep x then Some x else (ignore (Queue.pop q); go ())
-  in
-  go ()
+  while (not (Queue.is_empty q)) && not (keep prio (Queue.peek q)) do
+    ignore (Queue.pop q)
+  done;
+  if Queue.is_empty q then begin
+    clear_bit t prio;
+    false
+  end
+  else true
+
+let front t prio = Queue.peek t.buckets.(prio)
 
 let drop_front t prio =
   let q = t.buckets.(prio) in
@@ -95,12 +98,12 @@ let drop_front t prio =
 (* Exploration support (Schedctl driven mode): the systematic
    dispatcher enumerates a bucket's live entries and removes the chosen
    one from wherever it sits.  Passive dispatch never calls these — its
-   peek_live/drop_front path is untouched. *)
+   prune/front/drop_front path is untouched. *)
 
 let live_entries t prio ~keep =
   List.rev
     (Queue.fold
-       (fun acc x -> if keep x then x :: acc else acc)
+       (fun acc x -> if keep prio x then x :: acc else acc)
        [] t.buckets.(prio))
 
 let remove t prio x =

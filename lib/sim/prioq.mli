@@ -4,7 +4,7 @@
     makes "highest occupied priority" a find-highest-set over a couple of
     words rather than a scan of every level.  Built for the dispatcher's
     run queues: consumers using lazy deletion prune stale entries from
-    bucket fronts via {!peek_live}, keeping every operation O(1)
+    bucket fronts via {!prune}, keeping every operation O(1)
     amortized.  The mask is exact about bucket non-emptiness and
     conservative about liveness (a set bit may cover only stale entries
     until a prune drains them). *)
@@ -26,17 +26,21 @@ val top : 'a t -> int
 val top_below : 'a t -> int -> int
 (** [top_below t p]: highest non-empty priority [<= p], or [-1]. *)
 
-val peek_live : 'a t -> int -> keep:('a -> bool) -> 'a option
-(** [peek_live t prio ~keep] discards entries failing [keep] from the
-    front of the bucket and returns the first surviving entry (without
-    removing it), or [None] if the bucket drains. *)
+val prune : 'a t -> int -> keep:(int -> 'a -> bool) -> bool
+(** [prune t prio ~keep] discards entries failing [keep prio] from the
+    front of the bucket; [true] iff a surviving entry is left at its
+    front (read it with {!front}).  Allocates nothing. *)
+
+val front : 'a t -> int -> 'a
+(** The front entry of the bucket (raises [Queue.Empty] if the bucket is
+    empty). *)
 
 val drop_front : 'a t -> int -> unit
 (** Remove the front entry of the bucket (raises [Queue.Empty] if the
     bucket is empty). *)
 
-val live_entries : 'a t -> int -> keep:('a -> bool) -> 'a list
-(** All entries of the bucket passing [keep], front first, without
+val live_entries : 'a t -> int -> keep:(int -> 'a -> bool) -> 'a list
+(** All entries of the bucket passing [keep prio], front first, without
     mutating the queue.  Exploration support; O(bucket). *)
 
 val remove : 'a t -> int -> 'a -> bool

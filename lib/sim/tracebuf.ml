@@ -30,10 +30,12 @@ let intern t tag =
       Hashtbl.add t.tags tag tag;
       tag
 
-(* The emit-side gate: callers (Machine.trace) check this *before*
-   formatting, so uninterested records cost neither the format nor the
-   allocation — the hot dispatch/syscall/wakeup paths trace for free when
-   nothing will read the buffer. *)
+(* The emit-side gate: [emitf] and Machine.trace check this before
+   formatting, so an uninterested record is never formatted.  It is not
+   free by itself: the [ikfprintf] that swallows the arguments still
+   allocates a closure per argument.  Hot call sites (the kernel's) test
+   it first — [if tracing k tag then trace k tag ...] — and so build no
+   arguments at all when nothing will read the buffer. *)
 let interested t ~tag =
   t.enabled
   &&

@@ -30,8 +30,10 @@ val set_enabled : t -> bool -> unit
 
 val interested : t -> tag:string -> bool
 (** [enabled] and (when an interest set is installed) [tag] is in it.
-    Emitters check this {e before} formatting a message, so records
-    nobody will read cost neither the format nor the allocation. *)
+    {!emitf} checks this before formatting, but a skipped [emitf] still
+    allocates one [ikfprintf] closure per argument; call sites on hot
+    paths test [interested] themselves first, so an unread record costs
+    no allocation.  Allocates nothing. *)
 
 val set_interest : t -> string list option -> unit
 (** [Some tags] records only those tags; [None] (the default) records

@@ -862,6 +862,78 @@ let test_procfs_snapshot () =
   let pi = List.hd (Procfs.snapshot k) in
   Alcotest.(check string) "zombie at end" "reaped" pi.Procfs.pi_state
 
+(* ------------------------- completion slot ------------------------- *)
+
+(* A process killed while one of its LWPs holds a CPU inside a long
+   charge: that LWP's busy completion is still queued when the process
+   dies.  It must fire as a no-op — no time accounted, no step run — and
+   leave the LWP's completion slot empty.  The /proc figures are those
+   the per-interval-closure kernel produced for this scenario. *)
+let test_kill_mid_charge () =
+  let k = Kernel.boot ~cpus:4 ~chaos:Sunos_sim.Faultgen.off () in
+  let work n us () =
+    for _ = 1 to n do
+      Uctx.charge_us us;
+      ignore (Uctx.getpid ())
+    done;
+    Uctx.sleep (Time.s 1)
+  in
+  let vpid =
+    Kernel.spawn k ~name:"victim" ~main:(fun () ->
+        ignore (Uctx.lwp_create ~entry:(fun () -> Uctx.sleep (Time.s 1)) ());
+        Uctx.charge (Time.ms 50))
+  in
+  let bpid =
+    Kernel.spawn k ~name:"bystander" ~main:(fun () ->
+        ignore (Uctx.lwp_create ~entry:(work 20 700) ());
+        work 30 500 ())
+  in
+  ignore
+    (Kernel.spawn k ~name:"killer" ~main:(fun () ->
+         Uctx.sleep (Time.ms 10);
+         Uctx.kill ~pid:vpid Signo.sigkill));
+  Kernel.run ~until:(Time.ms 9) k;
+  let charging =
+    match Kernel.find_proc k vpid with
+    | Some p -> List.find (fun l -> l.Ktypes.lid = 1) p.Ktypes.lwps
+    | None -> Alcotest.fail "victim missing"
+  in
+  let h = charging.Ktypes.b_handle in
+  Alcotest.(check bool) "mid-charge: slice completion pending" true
+    (charging.Ktypes.b_next = Ktypes.B_slice && Sunos_sim.Eventq.is_pending h);
+  Kernel.run ~until:(Time.ms 20) k;
+  Alcotest.(check bool) "killed, completion still queued" true
+    (charging.Ktypes.lstate = Ktypes.Lzombie && Sunos_sim.Eventq.is_pending h);
+  Kernel.run ~until:(Time.ms 500) k;
+  Alcotest.(check bool) "stale completion fired" false
+    (Sunos_sim.Eventq.is_pending h);
+  Alcotest.(check bool) "slot emptied" true
+    (charging.Ktypes.b_next = Ktypes.B_idle
+    && (match charging.Ktypes.b_step with
+       | Sunos_kernel.Uctx.Step_done -> true
+       | _ -> false));
+  let times pid =
+    match Procfs.proc k pid with
+    | Some pi ->
+        ( (pi.Procfs.pi_utime, pi.Procfs.pi_stime),
+          List.map
+            (fun l -> (l.Procfs.li_lwpid, l.Procfs.li_utime, l.Procfs.li_stime))
+            pi.Procfs.pi_lwps )
+    | None -> Alcotest.fail "no /proc entry"
+  in
+  let cpu_time = Alcotest.(pair span span) in
+  let v, _ = times vpid in
+  Alcotest.check cpu_time "victim: the dropped slice is not accounted"
+    (0L, 2_386_000L) v;
+  let b, b_lwps = times bpid in
+  Alcotest.check cpu_time "bystander utime/stime" (29_000_000L, 4_914_000L) b;
+  Alcotest.(check (list (triple int span span)))
+    "bystander per-LWP utime/stime"
+    [ (1, 15_000_000L, 3_826_000L); (2, 14_000_000L, 1_088_000L) ]
+    b_lwps;
+  Kernel.run k;
+  Alcotest.(check span) "end time" 1_018_944_000L (Kernel.now k)
+
 let () =
   Alcotest.run "sunos_kernel"
     [
@@ -965,4 +1037,9 @@ let () =
         ] );
       ( "procfs",
         [ Alcotest.test_case "snapshot" `Quick test_procfs_snapshot ] );
+      ( "completion_slot",
+        [
+          Alcotest.test_case "kill mid-charge: stale completion is a no-op"
+            `Quick test_kill_mid_charge;
+        ] );
     ]
