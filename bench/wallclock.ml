@@ -254,7 +254,7 @@ let sections =
       name = "server-1000conn";
       kernel = true;
       smoke_baseline_s = 0.042;
-      smoke_baseline_mw = 3.256e6;
+      smoke_baseline_mw = 3.172e6;
       full = server_conns ~conns:1000 ~cpus:4;
       smoke = server_conns ~conns:100 ~cpus:2;
     };
@@ -262,7 +262,7 @@ let sections =
       name = "server-100k";
       kernel = true;
       smoke_baseline_s = 0.094;
-      smoke_baseline_mw = 7.947e6;
+      smoke_baseline_mw = 7.256e6;
       full = server_epoll_open ~conns:100_000 ~cpus:4;
       smoke = server_epoll_open ~conns:1_000 ~cpus:2;
     };
@@ -270,7 +270,7 @@ let sections =
       name = "server-compute";
       kernel = true;
       smoke_baseline_s = 0.002;
-      smoke_baseline_mw = 1.35e5;
+      smoke_baseline_mw = 1.25e5;
       full = server_compute ~conns:8 ~reqs:50;
       smoke = server_compute ~conns:4 ~reqs:10;
     };
@@ -302,7 +302,7 @@ let sections =
       name = "kv-store";
       kernel = true;
       smoke_baseline_s = 0.001;
-      smoke_baseline_mw = 1.33e5;
+      smoke_baseline_mw = 1.32e5;
       full = kv_store ~procs:3 ~clients:24 ~reqs:16;
       smoke = kv_store ~procs:2 ~clients:8 ~reqs:5;
     };

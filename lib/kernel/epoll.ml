@@ -3,17 +3,25 @@
    The legacy [poll] syscall re-examines every fd in its set on every
    wakeup — O(connections) work per event, which is exactly the wall the
    C10k literature hit.  This object inverts the direction: each
-   interested fd holds a persistent {!Socket.watch}/{!Pipe.watch} that
-   pushes the fd's interest entry onto the ready queue at the state
-   transition itself, so a wait costs O(ready), independent of how many
-   connections are held.
+   interest entry sits on the watch lists of its fd's object (a
+   {!Byteq} direction or a listener), and the object pushes the entry
+   onto the ready queue at the state transition itself, so a wait costs
+   O(ready), independent of how many connections are held.
+
+   The entry is its own watch: the object's lists hold entries, not
+   closures, so an idle interest costs one record and one cons per
+   list.  [e_in_listed]/[e_out_listed] say the entry is physically on
+   its object's in-list/out-list, which keeps it on each list at most
+   once.  An in-watch is live iff [not e_dead && e_want_in] (out
+   likewise); dead ones stay on the list until the next firing walks
+   past them and prunes.
 
    Edge-triggered with explicit re-arm: an entry is queued at most once
    (the [e_queued] flag bounds the ready queue by the interest size and
    counts coalesced edges), and a ONESHOT entry disarms on delivery
    until the consumer re-arms it with ctl(MOD).  Readiness is only
    {e level}-checked at arm time (add and re-arm) — that check, plus the
-   fact that watches fire on every subsequent transition, is the
+   fact that watch lists fire on every subsequent transition, is the
    lost-wakeup argument (DESIGN.md).  Spurious readiness is allowed:
    consumers drain with non-blocking ops until [`Again].
 
@@ -23,6 +31,7 @@
    ctl(DEL) get collected. *)
 
 type entry = {
+  e_owner : t;
   e_fd : int;
   mutable e_want_in : bool;
   mutable e_want_out : bool;
@@ -30,10 +39,11 @@ type entry = {
   mutable e_armed : bool;  (* eligible to queue; ONESHOT clears on delivery *)
   mutable e_queued : bool;  (* sitting in [ready]: dedups edges *)
   mutable e_dead : bool;  (* removed from interest; skipped at pop *)
-  mutable e_unwatch : unit -> unit;  (* detaches the object watches *)
+  mutable e_in_listed : bool;  (* physically on the object's in-list *)
+  mutable e_out_listed : bool;  (* physically on the object's out-list *)
 }
 
-type t = {
+and t = {
   id : int;  (* the owning fd number, for /proc and traces *)
   interest : (int, entry) Hashtbl.t;
   ready : entry Queue.t;
@@ -82,6 +92,7 @@ let add_waiter t f = t.wait_waiters <- f :: t.wait_waiters
 let register t ~fd ~want_in ~want_out ~oneshot =
   let e =
     {
+      e_owner = t;
       e_fd = fd;
       e_want_in = want_in;
       e_want_out = want_out;
@@ -89,7 +100,8 @@ let register t ~fd ~want_in ~want_out ~oneshot =
       e_armed = true;
       e_queued = false;
       e_dead = false;
-      e_unwatch = (fun () -> ());
+      e_in_listed = false;
+      e_out_listed = false;
     }
   in
   Hashtbl.replace t.interest fd e;
@@ -98,7 +110,8 @@ let register t ~fd ~want_in ~want_out ~oneshot =
 (* An edge (or an arm-time level check) on [e]: queue it unless the
    entry is disarmed, already queued, dead, or the epoll is gone.  The
    disarmed case is NOT a lost wakeup — re-arming re-checks readiness. *)
-let note_edge t e =
+let note_edge e =
+  let t = e.e_owner in
   if not (t.closed || e.e_dead || not e.e_armed) then
     if e.e_queued then t.coalesced <- t.coalesced + 1
     else begin
@@ -110,12 +123,12 @@ let note_edge t e =
 
 (* Remove [e] from the interest set.  It may still sit in the ready
    queue; [pop] skips dead entries, which is the "interest removal with
-   pending readiness" case. *)
-let kill_entry t e =
+   pending readiness" case.  It stays on its object's watch lists until
+   the next firing there prunes it. *)
+let kill_entry e =
   if not e.e_dead then begin
     e.e_dead <- true;
-    e.e_unwatch ();
-    Hashtbl.remove t.interest e.e_fd
+    Hashtbl.remove e.e_owner.interest e.e_fd
   end
 
 let rec pop t =
@@ -127,17 +140,60 @@ let rec pop t =
 
 (* Called by the syscall layer when it hands [e] to an epoll_wait
    caller: ONESHOT entries disarm until ctl(MOD) re-arms them. *)
-let note_delivered t e =
-  t.delivered <- t.delivered + 1;
+let note_delivered e =
+  e.e_owner.delivered <- e.e_owner.delivered + 1;
   if e.e_oneshot then e.e_armed <- false
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Hashtbl.iter (fun _ e -> e.e_dead <- true; e.e_unwatch ()) t.interest;
+    Hashtbl.iter (fun _ e -> e.e_dead <- true) t.interest;
     Hashtbl.reset t.interest;
     Queue.clear t.ready;
     (* a waiter blocked on a concurrently-closed epoll fd re-checks and
        fails out rather than sleeping forever *)
     fire_waiters t
   end
+
+(* ---- watch lists ---------------------------------------------------- *)
+
+(* Objects keep two lists of entries: the in-list fires on transitions
+   that may make the object readable (or acceptable), the out-list on
+   those that may make it writable. *)
+type side = In | Out
+
+let live side e =
+  (not e.e_dead) && match side with In -> e.e_want_in | Out -> e.e_want_out
+
+let rec walk side stale = function
+  | [] -> stale
+  | e :: rest ->
+      if live side e then begin
+        note_edge e;
+        walk side stale rest
+      end
+      else walk side true rest
+
+let fire side l = walk side false l
+
+let prune side l =
+  List.filter
+    (fun e ->
+      live side e
+      || begin
+           (match side with
+           | In -> e.e_in_listed <- false
+           | Out -> e.e_out_listed <- false);
+           false
+         end)
+    l
+
+let attach side e l =
+  match side with
+  | In when not e.e_in_listed ->
+      e.e_in_listed <- true;
+      e :: l
+  | Out when not e.e_out_listed ->
+      e.e_out_listed <- true;
+      e :: l
+  | In | Out -> l

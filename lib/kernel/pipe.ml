@@ -1,101 +1,48 @@
-(* Persistent readiness watch — same contract as Socket.watch: fires at
-   every transition until unwatched, no readiness check at registration,
-   spurious firings allowed.  The epoll object subscribes through these. *)
-type watch = { w_fire : unit -> unit; mutable w_active : bool }
+(* A pipe is one {!Byteq} direction written and read on the spot: no
+   wire, so [wire] stays empty and nothing stalls. *)
 
-let unwatch w = w.w_active <- false
-
-let fire_watches ws =
-  List.iter (fun w -> if w.w_active then w.w_fire ()) ws;
-  List.filter (fun w -> w.w_active) ws
-
-type t = {
-  capacity : int;
-  buf : Buffer.t;
-  mutable read_closed : bool;
-  mutable write_closed : bool;
-  mutable read_waiters : (unit -> unit) list;
-  mutable write_waiters : (unit -> unit) list;
-  mutable read_watches : watch list;
-  mutable write_watches : watch list;
-}
+type t = Byteq.t
 
 let default_capacity = 5120
-
-let create ?(capacity = default_capacity) () =
-  {
-    capacity;
-    buf = Buffer.create 256;
-    read_closed = false;
-    write_closed = false;
-    read_waiters = [];
-    write_waiters = [];
-    read_watches = [];
-    write_watches = [];
-  }
-
-let buffered t = Buffer.length t.buf
-let readable t = buffered t > 0 || t.write_closed
-let writable t = buffered t < t.capacity || t.read_closed
-let read_closed t = t.read_closed
-let write_closed t = t.write_closed
-
-(* registration is O(1) (prepend), firing reverses to oldest-first —
-   pollers re-register each cycle, so tail-append would go quadratic *)
-let fire_read_waiters t =
-  let ws = List.rev t.read_waiters in
-  t.read_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if t.read_watches <> [] then t.read_watches <- fire_watches t.read_watches
-
-let fire_write_waiters t =
-  let ws = List.rev t.write_waiters in
-  t.write_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if t.write_watches <> [] then
-    t.write_watches <- fire_watches t.write_watches
+let create ?(capacity = default_capacity) () = Byteq.create capacity
+let buffered = Byteq.buffered
+let readable (t : t) = Byteq.buffered t > 0 || t.wclosed
+let writable (t : t) = Byteq.buffered t < t.capacity || t.rclosed
+let read_closed (t : t) = t.rclosed
+let write_closed (t : t) = t.wclosed
 
 let read t ~len =
-  let n = min len (buffered t) in
-  if n = 0 then ""
+  let n = min len (Byteq.buffered t) in
+  if n <= 0 then ""
   else begin
-    let all = Buffer.contents t.buf in
-    let out = String.sub all 0 n in
-    Buffer.clear t.buf;
-    Buffer.add_substring t.buf all n (String.length all - n);
-    fire_write_waiters t;
+    let out = Byteq.take t n in
+    Byteq.fire_write_waiters t;
     out
   end
 
-let write t s =
-  let room = t.capacity - buffered t in
+let write (t : t) s =
+  let room = t.capacity - Byteq.buffered t in
   let n = min room (String.length s) in
   if n > 0 then begin
-    Buffer.add_substring t.buf s 0 n;
-    fire_read_waiters t
+    Byteq.push t (if n = String.length s then s else String.sub s 0 n);
+    Byteq.fire_read_waiters t
   end;
   n
 
-let close_read t =
-  t.read_closed <- true;
-  fire_write_waiters t
+let close_read (t : t) =
+  t.rclosed <- true;
+  Byteq.fire_write_waiters t
 
-let close_write t =
-  t.write_closed <- true;
-  fire_read_waiters t
+let close_write (t : t) =
+  t.wclosed <- true;
+  Byteq.fire_read_waiters t
 
-let on_readable t f =
+let on_readable (t : t) f =
   if readable t then f () else t.read_waiters <- f :: t.read_waiters
 
-let on_writable t f =
+let on_writable (t : t) f =
   if writable t then f () else t.write_waiters <- f :: t.write_waiters
 
-let watch_readable t f =
-  let w = { w_fire = f; w_active = true } in
-  t.read_watches <- w :: t.read_watches;
-  w
-
-let watch_writable t f =
-  let w = { w_fire = f; w_active = true } in
-  t.write_watches <- w :: t.write_watches;
-  w
+let attach_readable = Byteq.attach_readable
+let attach_writable = Byteq.attach_writable
+let watched_by = Byteq.watched_by

@@ -33,14 +33,14 @@ val on_readable : t -> (unit -> unit) -> unit
 
 val on_writable : t -> (unit -> unit) -> unit
 
-(** {1 Persistent readiness watches (epoll support)}
+(** {1 Epoll watch lists}
 
-    Same contract as {!Socket.watch}: fires at every transition until
-    unwatched, no readiness check at registration, spurious firings
-    allowed. *)
+    Same contract as {!Socket.attach_readable}: the entry is notified at
+    every transition while it is live, registration performs no
+    readiness check, spurious firings are allowed. *)
 
-type watch
+val attach_readable : t -> Epoll.entry -> unit
+val attach_writable : t -> Epoll.entry -> unit
 
-val watch_readable : t -> (unit -> unit) -> watch
-val watch_writable : t -> (unit -> unit) -> watch
-val unwatch : watch -> unit
+val watched_by : t -> Epoll.entry -> bool
+(** The entry is on one of this pipe's watch lists. *)

@@ -1,54 +1,31 @@
 (* Connection-oriented stream sockets for the simulated kernel.
 
-   This module is pure mechanism, in the style of Pipe: bounded buffers,
-   closed flags and one-shot readiness callbacks.  What is new relative
-   to a pipe is that the two endpoints live in different processes and
-   every byte crosses the simulated network: a successful [write] only
-   *accepts* the data into the sender's window; delivery into the peer's
-   receive buffer happens a transfer time plus half a round trip later,
-   through [Devices.Net.send].  The write window is
-   [capacity - delivered - in_flight], so a writer stalls exactly when
+   This module is pure mechanism, in the style of Pipe: each direction
+   of a connection is a {!Byteq} (bounded byte queue, closed flags,
+   one-shot readiness callbacks, epoll watch lists), exactly what a
+   pipe is.  What is new relative to a pipe is that the two endpoints
+   live in different processes and every byte crosses the simulated
+   network: a successful [write] only *accepts* the data into the
+   sender's window; delivery into the peer's receive buffer happens a
+   transfer time plus half a round trip later, through
+   [Devices.Net.send].  The write window is
+   [capacity - delivered - in flight], so a writer stalls exactly when
    the receiver is slow to drain — TCP-style backpressure with a fixed
    window.
 
    Determinism: the net device of the simulated machine carries no
-   jitter and the event queue breaks timestamp ties in insertion order,
-   so deliveries on one direction arrive in the order they were sent and
-   a whole run is a pure function of the workload's seeds. *)
+   jitter, the event queue breaks timestamp ties in insertion order,
+   and each delivery lands the oldest chunk on the wire, so bytes
+   arrive in the order they were written and a whole run is a pure
+   function of the workload's seeds. *)
 
 module Net = Sunos_hw.Devices.Net
 module Time = Sunos_sim.Time
 
-(* A persistent readiness watch: unlike the one-shot waiter lists below
-   it stays registered across firings and is detached explicitly (or
-   lazily, via the active flag, when the owner disappears first).  This
-   is the edge-notification primitive the epoll object builds on: the
-   callback fires at every state transition that may have made the
-   object ready, and the subscriber is responsible for deduplication —
-   spurious firings are part of the contract. *)
-type watch = { w_fire : unit -> unit; mutable w_active : bool }
-
-let unwatch w = w.w_active <- false
-
-(* Fire the live watches and prune the dead ones.  Watch lists are tiny
-   (one epoll interest per fd side in practice), so the rebuild is
-   cheaper than bookkeeping a doubly-linked list. *)
-let fire_watches ws =
-  List.iter (fun w -> if w.w_active then w.w_fire ()) ws;
-  List.filter (fun w -> w.w_active) ws
-
-type dir = {
-  capacity : int;
-  buf : Buffer.t;  (* delivered, not yet read by the receiver *)
-  mutable in_flight : int;  (* accepted from the sender, still on the wire *)
-  mutable wclosed : bool;  (* sender closed: EOF once [buf] drains *)
-  mutable rclosed : bool;  (* receiver closed: further writes are resets *)
-  mutable stall_until : Time.t;  (* fault injection: peer not draining *)
-  mutable read_waiters : (unit -> unit) list;
-  mutable write_waiters : (unit -> unit) list;
-  mutable read_watches : watch list;  (* persistent: epoll edges *)
-  mutable write_watches : watch list;
-}
+(* One direction of a connection.  [wire] holds the chunks accepted
+   from the writer and still on the wire; [stall_until] defers their
+   delivery (fault injection: the reader stopped draining). *)
+type dir = Byteq.t
 
 type conn = {
   net : Net.t;
@@ -66,7 +43,7 @@ type listener = {
   capacity : int;  (* per-direction buffer size of accepted connections *)
   pending : endpoint Queue.t;  (* established, not yet accepted *)
   mutable accept_waiters : (unit -> unit) list;
-  mutable accept_watches : watch list;
+  mutable accept_watches : Epoll.entry list;  (* epoll in-list *)
   mutable lclosed : bool;
   registry : registry;
 }
@@ -76,45 +53,8 @@ and registry = (string, listener) Hashtbl.t
 let default_capacity = 8192
 let create_registry () : registry = Hashtbl.create 16
 
-(* ---- directions ----------------------------------------------------- *)
-
-let mk_dir capacity =
-  {
-    capacity;
-    buf = Buffer.create 256;
-    in_flight = 0;
-    wclosed = false;
-    rclosed = false;
-    stall_until = Time.zero;
-    read_waiters = [];
-    write_waiters = [];
-    read_watches = [];
-    write_watches = [];
-  }
-
-let buffered (d : dir) = Buffer.length d.buf
-let window (d : dir) = d.capacity - buffered d - d.in_flight
-
-(* Waiters are pushed in reverse and fired oldest-first: registration
-   must be O(1) because a poller re-registers on every idle fd it
-   watches on every poll cycle — appending to the list tail would make
-   an idle connection cost quadratic time between readiness events. *)
-(* One-shot waiters fire before persistent watches so the pre-epoll
-   blocking paths observe exactly the wakeup order they always have —
-   with no watches registered these functions are byte-identical to
-   their old selves, which is what keeps the legacy goldens valid. *)
-let fire_read_waiters d =
-  let ws = List.rev d.read_waiters in
-  d.read_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if d.read_watches <> [] then d.read_watches <- fire_watches d.read_watches
-
-let fire_write_waiters d =
-  let ws = List.rev d.write_waiters in
-  d.write_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if d.write_watches <> [] then
-    d.write_watches <- fire_watches d.write_watches
+let fire_read_waiters = Byteq.fire_read_waiters
+let fire_write_waiters = Byteq.fire_write_waiters
 
 (* ---- endpoints ------------------------------------------------------ *)
 
@@ -123,13 +63,15 @@ let incoming ep = match ep.side with Client -> ep.conn.s2c | Server -> ep.conn.c
 
 (* EOF is ordered after data: the close flag only becomes readable once
    every chunk accepted before the close has been delivered. *)
-let at_eof d = d.wclosed && buffered d = 0 && d.in_flight = 0
+let at_eof (d : dir) = d.wclosed && Byteq.buffered d = 0 && d.wire = []
+let buffered ep = Byteq.buffered (incoming ep)
+let window ep = Byteq.window (outgoing ep)
 
 let readable ep =
-  ep.conn.reset || buffered (incoming ep) > 0 || at_eof (incoming ep)
+  ep.conn.reset || buffered ep > 0 || at_eof (incoming ep)
 
 let writable ep =
-  ep.conn.reset || (outgoing ep).rclosed || window (outgoing ep) > 0
+  ep.conn.reset || (outgoing ep).rclosed || window ep > 0
 
 let peer_closed ep = (incoming ep).wclosed
 
@@ -137,12 +79,9 @@ let read ep ~len =
   if ep.conn.reset then `Reset
   else
     let d = incoming ep in
-    let n = min len (buffered d) in
+    let n = min len (Byteq.buffered d) in
     if n > 0 then begin
-      let all = Buffer.contents d.buf in
-      let out = String.sub all 0 n in
-      Buffer.clear d.buf;
-      Buffer.add_substring d.buf all n (String.length all - n);
+      let out = Byteq.take d n in
       (* the window just opened: let the peer's writers at it *)
       fire_write_waiters d;
       `Data out
@@ -150,32 +89,35 @@ let read ep ~len =
     else if at_eof d then `Eof
     else `Empty
 
-(* Delivery completion for one chunk: runs off the event queue a
-   transfer time + half an RTT after the write was accepted.
+(* Delivery completion: runs off the event queue a transfer time + half
+   an RTT after a write was accepted, and lands the OLDEST chunk on the
+   wire.  A chunk's transfer time grows with its size, so a short chunk
+   written just after a long one would otherwise land first; taking the
+   head keeps the stream in byte order whatever the completion order.
 
    A stalled direction (fault injection: the peer stopped draining)
-   defers the completion to [stall_until].  Order is preserved: every
-   deferred chunk lands at the same instant and the event queue breaks
-   timestamp ties in insertion order, while chunks whose natural arrival
-   is later than the stall deadline were sent later and stay later.  The
-   chunk stays in_flight across the deferral, so the sender's window
-   remains closed — a stall is backpressure, not loss. *)
-let rec deliver conn d chunk =
+   defers the landing to [stall_until].  Order is preserved: every
+   deferred landing happens at the same instant and the event queue
+   breaks timestamp ties in insertion order.  The chunk stays on the
+   wire across the deferral, so the sender's window remains closed — a
+   stall is backpressure, not loss. *)
+let rec arrive conn (d : dir) =
   let nnow = Net.now conn.net in
   if (not (d.rclosed || conn.reset)) && Time.(nnow < d.stall_until) then
-    Net.delay conn.net (Time.diff d.stall_until nnow) (fun () ->
-        deliver conn d chunk)
-  else begin
-    d.in_flight <- d.in_flight - String.length chunk;
-    if not (d.rclosed || conn.reset) then begin
-      Buffer.add_string d.buf chunk;
-      fire_read_waiters d
-    end
-    else if d.in_flight = 0 && d.wclosed then
-      (* last straggler of an already-closed stream: readers blocked for
-         the ordered EOF can now see it *)
-      fire_read_waiters d
-  end
+    Net.delay conn.net (Time.diff d.stall_until nnow) (fun () -> arrive conn d)
+  else
+    match d.wire with
+    | [] -> ()
+    | chunk :: rest ->
+        d.wire <- rest;
+        if not (d.rclosed || conn.reset) then begin
+          Byteq.push d chunk;
+          fire_read_waiters d
+        end
+        else if rest = [] && d.wclosed then
+          (* last straggler of an already-closed stream: readers blocked
+             for the ordered EOF can now see it *)
+          fire_read_waiters d
 
 let stall ep ~until =
   let d = outgoing ep in
@@ -189,8 +131,8 @@ let abort ep =
   let c = ep.conn in
   if not c.reset then begin
     c.reset <- true;
-    Buffer.clear c.c2s.buf;
-    Buffer.clear c.s2c.buf;
+    Byteq.clear c.c2s;
+    Byteq.clear c.s2c;
     fire_read_waiters c.c2s;
     fire_write_waiters c.c2s;
     fire_read_waiters c.s2c;
@@ -201,13 +143,15 @@ let write ep data =
   if ep.conn.reset || (outgoing ep).rclosed then `Reset
   else
     let d = outgoing ep in
-    let n = min (window d) (String.length data) in
+    let n = min (Byteq.window d) (String.length data) in
     if n = 0 then `Full
     else begin
-      let chunk = String.sub data 0 n in
-      d.in_flight <- d.in_flight + n;
-      Net.send ep.conn.net ~bytes_:n ~on_complete:(fun () ->
-          deliver ep.conn d chunk);
+      let chunk =
+        if n = String.length data then data else String.sub data 0 n
+      in
+      d.wire <- d.wire @ [ chunk ];
+      let conn = ep.conn in
+      Net.send conn.net ~bytes_:n ~on_complete:(fun () -> arrive conn d);
       `Accepted n
     end
 
@@ -218,10 +162,10 @@ let close ep =
     inc.rclosed <- true;
     (* closing with undelivered inbound data is an abortive close: the
        peer learns nobody read its bytes (RST), both streams die *)
-    if buffered inc > 0 || inc.in_flight > 0 then begin
+    if Byteq.buffered inc > 0 || inc.wire <> [] then begin
       ep.conn.reset <- true;
-      Buffer.clear inc.buf;
-      Buffer.clear out.buf
+      Byteq.clear inc;
+      Byteq.clear out
     end;
     fire_read_waiters out;
     fire_write_waiters out;
@@ -241,22 +185,16 @@ let on_writable ep f =
     let d = outgoing ep in
     d.write_waiters <- f :: d.write_waiters
 
-(* Persistent watches do NOT check current readiness at registration:
-   the epoll layer performs its own level check when an interest is
-   added or re-armed, and only the subsequent transitions come through
-   here.  Splitting it this way is what makes the lost-wakeup argument
-   local (see DESIGN.md). *)
-let watch_readable ep f =
-  let w = { w_fire = f; w_active = true } in
-  let d = incoming ep in
-  d.read_watches <- w :: d.read_watches;
-  w
+(* Epoll entries go on the lists without a readiness check: the epoll
+   layer performs its own level check when an interest is added or
+   re-armed, and only the subsequent transitions come through here.
+   Splitting it this way is what makes the lost-wakeup argument local
+   (see DESIGN.md). *)
+let attach_readable ep e = Byteq.attach_readable (incoming ep) e
+let attach_writable ep e = Byteq.attach_writable (outgoing ep) e
 
-let watch_writable ep f =
-  let w = { w_fire = f; w_active = true } in
-  let d = outgoing ep in
-  d.write_watches <- w :: d.write_watches;
-  w
+let watched_by ep e =
+  Byteq.watched_by (incoming ep) e || Byteq.watched_by (outgoing ep) e
 
 (* ---- listeners ------------------------------------------------------ *)
 
@@ -289,8 +227,8 @@ let fire_accept_waiters l =
   let ws = List.rev l.accept_waiters in
   l.accept_waiters <- [];
   List.iter (fun f -> f ()) ws;
-  if l.accept_watches <> [] then
-    l.accept_watches <- fire_watches l.accept_watches
+  if l.accept_watches <> [] && Epoll.fire In l.accept_watches then
+    l.accept_watches <- Epoll.prune In l.accept_watches
 
 (* SYN arrival: admit a connection if the listener still exists and the
    backlog has room.  Returns the client endpoint; the matching server
@@ -299,7 +237,12 @@ let try_admit l ~net =
   if l.lclosed || Queue.length l.pending >= l.backlog then None
   else begin
     let conn =
-      { net; c2s = mk_dir l.capacity; s2c = mk_dir l.capacity; reset = false }
+      {
+        net;
+        c2s = Byteq.create l.capacity;
+        s2c = Byteq.create l.capacity;
+        reset = false;
+      }
     in
     Queue.add { conn; side = Server } l.pending;
     fire_accept_waiters l;
@@ -311,10 +254,10 @@ let accept l = Queue.take_opt l.pending
 let on_acceptable l f =
   if acceptable l then f () else l.accept_waiters <- f :: l.accept_waiters
 
-let watch_acceptable l f =
-  let w = { w_fire = f; w_active = true } in
-  l.accept_watches <- w :: l.accept_watches;
-  w
+let attach_acceptable l e =
+  l.accept_watches <- Epoll.attach In e l.accept_watches
+
+let accept_watched_by l e = List.memq e l.accept_watches
 
 let close_listener l =
   if not l.lclosed then begin
@@ -329,5 +272,12 @@ let close_listener l =
 
 (* A socketpair without the listen/connect dance — for shims and tests. *)
 let pair ~net ?(capacity = default_capacity) () =
-  let conn = { net; c2s = mk_dir capacity; s2c = mk_dir capacity; reset = false } in
+  let conn =
+    {
+      net;
+      c2s = Byteq.create capacity;
+      s2c = Byteq.create capacity;
+      reset = false;
+    }
+  in
   ({ conn; side = Client }, { conn; side = Server })

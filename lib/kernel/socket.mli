@@ -2,7 +2,7 @@
 
     A connection is a pair of bounded byte streams between two endpoints,
     one per direction.  A [write] accepts at most
-    [capacity - buffered - in_flight] bytes into the sender's window and
+    [capacity - buffered - in flight] bytes into the sender's window and
     delivers them into the peer's receive buffer after a transfer time
     plus half a network round trip ({!Sunos_hw.Devices.Net.send}); the
     window reopens only when the receiver drains — which is what gives a
@@ -77,30 +77,40 @@ val stall : endpoint -> until:Sunos_sim.Time.t -> unit
 
 val readable : endpoint -> bool
 val writable : endpoint -> bool
+
+val buffered : endpoint -> int
+(** Bytes delivered to this endpoint and not yet read. *)
+
+val window : endpoint -> int
+(** Bytes this endpoint may still write: its outgoing capacity less what
+    the peer has not read and what is still on the wire. *)
+
 val peer_closed : endpoint -> bool
 val on_readable : endpoint -> (unit -> unit) -> unit
 val on_writable : endpoint -> (unit -> unit) -> unit
 
-(** {1 Persistent readiness watches (epoll support)}
+(** {1 Epoll watch lists}
 
-    Unlike the one-shot [on_*] callbacks, a {!watch} survives firings:
-    it is called at {e every} state transition that may have made the
-    object ready (data delivery, window opening, EOF, reset, close)
-    until {!unwatch}ed.  Registration performs no readiness check — the
-    subscriber (the epoll object) does its own level check at
-    registration time, so the split of responsibility is: watches carry
-    edges, the subscriber handles the initial level and deduplicates.
-    Spurious firings are part of the contract. *)
+    An {!Epoll.entry} attached here is notified ({!Epoll.note_edge}) at
+    {e every} state transition that may have made the object ready
+    (data delivery, window opening, EOF, reset, close) for as long as it
+    is live ([not e_dead] and wanting that direction).  Attaching
+    performs no readiness check — the epoll layer does its own level
+    check at arm time, so the split of responsibility is: the lists
+    carry edges, the subscriber handles the initial level and
+    deduplicates.  Spurious firings are part of the contract.  An entry
+    that is already on the list is not added again. *)
 
-type watch
+val attach_readable : endpoint -> Epoll.entry -> unit
+val attach_writable : endpoint -> Epoll.entry -> unit
 
-val watch_readable : endpoint -> (unit -> unit) -> watch
-val watch_writable : endpoint -> (unit -> unit) -> watch
-val watch_acceptable : listener -> (unit -> unit) -> watch
-(** Fires on pending-queue arrivals {e and} on listener close. *)
+val attach_acceptable : listener -> Epoll.entry -> unit
+(** Notified on pending-queue arrivals {e and} on listener close. *)
 
-val unwatch : watch -> unit
-(** Detach; idempotent.  O(1) (lazy removal via an active flag). *)
+val watched_by : endpoint -> Epoll.entry -> bool
+(** The entry is on one of this endpoint's watch lists. *)
+
+val accept_watched_by : listener -> Epoll.entry -> bool
 
 val pair :
   net:Sunos_hw.Devices.Net.t -> ?capacity:int -> unit -> endpoint * endpoint

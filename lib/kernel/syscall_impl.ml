@@ -272,45 +272,39 @@ let rec poll_register k lwp fds ~alive =
 
 (* --- epoll ------------------------------------------------------------ *)
 
-(* Attach persistent watches matching the entry's interest mask and
-   store their detach closure.  Returns false on objects that have no
-   edge sources (plain files, net channels, ttys, other epolls) — epoll
-   interest on those is refused rather than silently level-polled. *)
-let epoll_attach ep (e : Epoll.entry) fdobj =
-  let fire () = Epoll.note_edge ep e in
+(* Put the entry on the watch lists of the object that its interest
+   mask names; it stays where it is on a list it is already on.
+   Returns false on objects that have no edge sources (plain files, net
+   channels, ttys, other epolls) — epoll interest on those is refused
+   rather than silently level-polled. *)
+let epoll_attach (e : Epoll.entry) fdobj =
   match fdobj with
   | Fd_sock sep ->
-      let r =
-        if e.Epoll.e_want_in then Some (Socket.watch_readable sep fire)
-        else None
-      and w =
-        if e.Epoll.e_want_out then Some (Socket.watch_writable sep fire)
-        else None
-      in
-      e.Epoll.e_unwatch <-
-        (fun () ->
-          Option.iter Socket.unwatch r;
-          Option.iter Socket.unwatch w);
+      if e.Epoll.e_want_in then Socket.attach_readable sep e;
+      if e.Epoll.e_want_out then Socket.attach_writable sep e;
       true
   | Fd_sock_listen l ->
-      if e.Epoll.e_want_in then begin
-        let w = Socket.watch_acceptable l fire in
-        e.Epoll.e_unwatch <- (fun () -> Socket.unwatch w)
-      end;
+      if e.Epoll.e_want_in then Socket.attach_acceptable l e;
       true
   | Fd_pipe_r p ->
-      if e.Epoll.e_want_in then begin
-        let w = Pipe.watch_readable p fire in
-        e.Epoll.e_unwatch <- (fun () -> Pipe.unwatch w)
-      end;
+      if e.Epoll.e_want_in then Pipe.attach_readable p e;
       true
   | Fd_pipe_w p ->
-      if e.Epoll.e_want_out then begin
-        let w = Pipe.watch_writable p fire in
-        e.Epoll.e_unwatch <- (fun () -> Pipe.unwatch w)
-      end;
+      if e.Epoll.e_want_out then Pipe.attach_writable p e;
       true
   | Fd_file _ | Fd_net _ | Fd_tty | Fd_epoll _ -> false
+
+(* The entry is listed, but not on [fdobj].  A forked child shares its
+   parent's epoll but not the fds either opens later, so one fd number
+   can name two objects; the entry then hangs on the other one. *)
+let epoll_listed_elsewhere (e : Epoll.entry) fdobj =
+  (e.Epoll.e_in_listed || e.Epoll.e_out_listed)
+  &&
+  match fdobj with
+  | Fd_sock sep -> not (Socket.watched_by sep e)
+  | Fd_sock_listen l -> not (Socket.accept_watched_by l e)
+  | Fd_pipe_r p | Fd_pipe_w p -> not (Pipe.watched_by p e)
+  | Fd_file _ | Fd_net _ | Fd_tty | Fd_epoll _ -> true
 
 (* Drain up to [max] live entries off the ready queue.  This is the
    whole point of the design: cost is O(returned), never O(interest).
@@ -327,10 +321,10 @@ let epoll_collect proc ep ~max =
       | Some e -> (
           match lookup_fd proc e.Epoll.e_fd with
           | None ->
-              Epoll.kill_entry ep e;
+              Epoll.kill_entry e;
               go acc n
           | Some _ ->
-              Epoll.note_delivered ep e;
+              Epoll.note_delivered e;
               go (e.Epoll.e_fd :: acc) (n - 1))
   in
   go [] max
@@ -893,18 +887,18 @@ let execute k lwp req =
                       let e =
                         Epoll.register ep ~fd ~want_in ~want_out ~oneshot
                       in
-                      if epoll_attach ep e o then begin
+                      if epoll_attach e o then begin
                         (* arm-time level check: interest added on an
                            already-ready object queues immediately —
                            the edge happened before we were listening *)
                         if
                           (want_in && in_ready k o)
                           || (want_out && out_ready o)
-                        then Epoll.note_edge ep e;
+                        then Epoll.note_edge e;
                         K.complete k lwp ~op_cost:c.Cost.sock_op R_ok
                       end
                       else begin
-                        Epoll.kill_entry ep e;
+                        Epoll.kill_entry e;
                         K.complete k lwp (R_err Errno.EINVAL)
                       end))
           | Ep_mod { want_in; want_out; oneshot } -> (
@@ -913,15 +907,26 @@ let execute k lwp req =
               | Some e -> (
                   match lookup_fd proc fd with
                   | None ->
-                      Epoll.kill_entry ep e;
+                      Epoll.kill_entry e;
                       K.complete k lwp (R_err Errno.EBADF)
                   | Some o ->
-                      e.Epoll.e_unwatch ();
-                      e.Epoll.e_want_in <- want_in;
-                      e.Epoll.e_want_out <- want_out;
-                      e.Epoll.e_oneshot <- oneshot;
-                      e.Epoll.e_armed <- true;
-                      ignore (epoll_attach ep e o : bool);
+                      let e =
+                        if epoll_listed_elsewhere e o then begin
+                          (* watch [o] with a fresh entry; the old one
+                             is pruned from the other object's lists at
+                             its next firing there *)
+                          Epoll.kill_entry e;
+                          Epoll.register ep ~fd ~want_in ~want_out ~oneshot
+                        end
+                        else begin
+                          e.Epoll.e_want_in <- want_in;
+                          e.Epoll.e_want_out <- want_out;
+                          e.Epoll.e_oneshot <- oneshot;
+                          e.Epoll.e_armed <- true;
+                          e
+                        end
+                      in
+                      ignore (epoll_attach e o : bool);
                       (* re-arm level check: an edge swallowed while the
                          entry was disarmed must resurface now, or a
                          ONESHOT consumer that drained to EAGAIN after
@@ -929,13 +934,13 @@ let execute k lwp req =
                       if
                         (want_in && in_ready k o)
                         || (want_out && out_ready o)
-                      then Epoll.note_edge ep e;
+                      then Epoll.note_edge e;
                       K.complete k lwp ~op_cost:c.Cost.sock_op R_ok))
           | Ep_del -> (
               match Epoll.find ep fd with
               | None -> K.complete k lwp (R_err Errno.ENOENT)
               | Some e ->
-                  Epoll.kill_entry ep e;
+                  Epoll.kill_entry e;
                   K.complete k lwp ~op_cost:c.Cost.sock_op R_ok))
       | Some _ | None -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_epoll_wait (epfd, maxev, timeout) -> (

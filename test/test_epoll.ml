@@ -296,6 +296,217 @@ let test_errors () =
   Alcotest.(check bool) "plain file is EINVAL" true !einval;
   Alcotest.(check bool) "read on epoll fd is EBADF" true !ebadf
 
+(* --- two epolls on one object ------------------------------------------ *)
+
+(* Each object's watch lists hold the epoll entries themselves.  These
+   cases put one socket (the accepted end of a connection) or one pipe
+   (its read end) under two epoll instances at once and check that an
+   edge is queued exactly once per live interest, that re-arming through
+   ctl(MOD) neither duplicates nor loses an entry, and that removing one
+   interest leaves the other firing. *)
+
+type obj = { fd : int; feed : unit -> unit }
+
+(* [fd] is the watched end; [feed] makes one input edge on it and waits
+   until it has landed. *)
+let with_obj kind f =
+  match kind with
+  | `Pipe ->
+      let r, w = Uctx.pipe () in
+      f
+        {
+          fd = r;
+          feed =
+            (fun () ->
+              ignore (Uctx.write w "x");
+              Uctx.sleep (Time.ms 5));
+        }
+  | `Socket ->
+      let lfd = Uctx.listen ~name:"two" ~backlog:1 in
+      let c = Uctx.connect "two" in
+      let s = Uctx.accept lfd in
+      f
+        {
+          fd = s;
+          feed =
+            (fun () ->
+              Uctx.write_all c "x";
+              Uctx.sleep (Time.ms 5));
+        }
+
+let drain o = ignore (Uctx.read o.fd ~len:64)
+let poll_now ep = Uctx.epoll_wait ep ~max_events:8 ~timeout:0L
+
+(* Observations made inside the simulated process, checked after the
+   run (an exception there would only end the process). *)
+type seen = {
+  mutable counts : (string * (int * int) * (int * int)) list;
+  mutable fds : (string * int list * int list) list;
+}
+
+(* expect (edges, coalesced) of the epoll at [epfd] *)
+let expect_counts seen k msg epfd want =
+  let got =
+    match
+      List.find_opt (fun ei -> ei.Procfs.ei_fd = epfd) (Procfs.epolls k)
+    with
+    | Some ei -> (ei.Procfs.ei_edges, ei.Procfs.ei_coalesced)
+    | None -> (-1, -1)
+  in
+  seen.counts <- (msg, want, got) :: seen.counts
+
+let expect_fds seen msg want got = seen.fds <- (msg, want, got) :: seen.fds
+
+let run_two kind body =
+  let k = Kernel.boot () in
+  let seen = { counts = []; fds = [] } and finished = ref false in
+  ignore
+    (Kernel.spawn k ~name:"two" ~main:(fun () ->
+         with_obj kind (fun o ->
+             let ep1 = Uctx.epoll_create () in
+             let ep2 = Uctx.epoll_create () in
+             Uctx.epoll_add ep1 o.fd ~want_in:true ();
+             Uctx.epoll_add ep2 o.fd ~want_in:true ();
+             body (expect_counts seen k) (expect_fds seen) o ep1 ep2;
+             finished := true)));
+  Kernel.run k;
+  Alcotest.(check bool) "scenario ran to the end" true !finished;
+  List.iter
+    (fun (msg, want, got) -> Alcotest.(check (pair int int)) msg want got)
+    (List.rev seen.counts);
+  List.iter
+    (fun (msg, want, got) -> Alcotest.(check (list int)) msg want got)
+    (List.rev seen.fds)
+
+let test_two_one_edge_each kind () =
+  run_two kind (fun counts fds o ep1 ep2 ->
+      o.feed ();
+      counts "ep1 queued once" ep1 (1, 0);
+      counts "ep2 queued once" ep2 (1, 0);
+      fds "ep1 delivers" [ o.fd ] (poll_now ep1);
+      fds "ep2 delivers" [ o.fd ] (poll_now ep2);
+      drain o;
+      (* a second edge once both entries are idle again *)
+      o.feed ();
+      counts "ep1 second edge" ep1 (2, 0);
+      counts "ep2 second edge" ep2 (2, 0);
+      drain o)
+
+let test_two_mod_cycle kind () =
+  run_two kind (fun counts fds o ep1 ep2 ->
+      (* in -> none -> in with no firing in between: the entry is still
+         on the object's list, so re-arming must not list it twice (a
+         duplicate would show as a coalesced edge) *)
+      Uctx.epoll_mod ep1 o.fd ();
+      Uctx.epoll_mod ep1 o.fd ~want_in:true ();
+      o.feed ();
+      counts "ep1 one edge, no duplicate" ep1 (1, 0);
+      counts "ep2 unaffected" ep2 (1, 0);
+      ignore (poll_now ep1);
+      ignore (poll_now ep2);
+      drain o;
+      (* in -> none, then an edge: that firing prunes ep1's entry from
+         the list; re-arming must put it back, not lose it *)
+      Uctx.epoll_mod ep1 o.fd ();
+      o.feed ();
+      counts "ep1 silent while none" ep1 (1, 0);
+      counts "ep2 still fires" ep2 (2, 0);
+      ignore (poll_now ep2);
+      drain o;
+      Uctx.epoll_mod ep1 o.fd ~want_in:true ();
+      o.feed ();
+      counts "ep1 back after the prune" ep1 (2, 0);
+      counts "ep2 once more" ep2 (3, 0);
+      fds "ep1 delivers" [ o.fd ] (poll_now ep1);
+      drain o)
+
+let test_two_del_close kind () =
+  run_two kind (fun counts fds o ep1 ep2 ->
+      Uctx.epoll_del ep1 o.fd;
+      o.feed ();
+      counts "ep2 fires after DEL on ep1" ep2 (1, 0);
+      fds "ep1 empty" [] (poll_now ep1);
+      fds "ep2 delivers" [ o.fd ] (poll_now ep2);
+      drain o;
+      (* back on ep1, then close ep2 outright *)
+      Uctx.epoll_add ep1 o.fd ~want_in:true ();
+      Uctx.close ep2;
+      o.feed ();
+      counts "ep1 fires after ep2 closed" ep1 (1, 0);
+      fds "ep1 delivers" [ o.fd ] (poll_now ep1);
+      drain o)
+
+(* Two LWPs block, one in each epoll; a single edge wakes both.  The
+   object's list is walked head first and an interest is prepended when
+   added, so the later-added epoll's waiter is woken first — and ctl(MOD)
+   re-arms an entry in place, so the order survives a re-arm of the
+   earlier one. *)
+let test_two_wake_order kind () =
+  let order = ref [] in
+  run_two kind (fun _ _ o ep1 ep2 ->
+      let round tag =
+        let waiter ep name =
+          ignore
+            (Uctx.lwp_create
+               ~entry:(fun () ->
+                 ignore (Uctx.epoll_wait ep ~max_events:8);
+                 order := (tag, name) :: !order)
+               ())
+        in
+        waiter ep1 "ep1";
+        waiter ep2 "ep2";
+        Uctx.sleep (Time.ms 1);
+        o.feed ();
+        drain o
+      in
+      round "added";
+      Uctx.epoll_mod ep1 o.fd ~want_in:true ();
+      round "after MOD");
+  Alcotest.(check (list (pair string string)))
+    "later-added epoll woken first, MOD keeps the order"
+    [
+      ("added", "ep2"); ("added", "ep1"); ("after MOD", "ep2");
+      ("after MOD", "ep1");
+    ]
+    (List.rev !order)
+
+(* --- MOD where the fd names another object ----------------------------- *)
+
+(* A forked child shares its parent's epoll but not its later fds: both
+   open a pipe after the fork and get the same fd number for different
+   objects.  The parent registers its pipe; a MOD from the child must
+   move the interest to the child's pipe (the object the fd names for
+   the caller), or edges on it would never be seen. *)
+let test_mod_other_object () =
+  let k = Kernel.boot () in
+  let fds = ref (-1, -1) and got = ref [ -1 ] and after_old = ref [ -1 ] in
+  ignore
+    (Kernel.spawn k ~name:"parent" ~main:(fun () ->
+         let ep = Uctx.epoll_create () in
+         ignore
+           (Uctx.fork ~child_main:(fun () ->
+                Uctx.sleep (Time.ms 1);
+                let r, w = Uctx.pipe () in
+                fds := (fst !fds, r);
+                Uctx.epoll_mod ep r ~want_in:true ();
+                ignore (Uctx.write w "x");
+                got := poll_now ep;
+                ignore (Uctx.read r ~len:8);
+                Uctx.sleep (Time.ms 2);
+                (* the parent wrote to its pipe meanwhile: no edge *)
+                after_old := poll_now ep));
+         let r, w = Uctx.pipe () in
+         fds := (r, snd !fds);
+         Uctx.epoll_add ep r ~want_in:true ();
+         Uctx.sleep (Time.ms 2);
+         ignore (Uctx.write w "y");
+         Uctx.sleep (Time.ms 5)));
+  Kernel.run k;
+  let pr, cr = !fds in
+  Alcotest.(check int) "same fd number, different pipes" pr cr;
+  Alcotest.(check (list int)) "edge on the child's pipe delivered" [ cr ] !got;
+  Alcotest.(check (list int)) "parent's pipe detached" [] !after_old
+
 let () =
   Alcotest.run "epoll"
     [
@@ -322,4 +533,22 @@ let () =
           Alcotest.test_case "RST while ready" `Quick test_rst_while_ready;
           Alcotest.test_case "error paths" `Quick test_errors;
         ] );
+      ( "two-epolls",
+        List.concat_map
+          (fun (name, kind) ->
+            [
+              Alcotest.test_case (name ^ ": one edge per interest") `Quick
+                (test_two_one_edge_each kind);
+              Alcotest.test_case (name ^ ": MOD in-none-in") `Quick
+                (test_two_mod_cycle kind);
+              Alcotest.test_case (name ^ ": DEL and close") `Quick
+                (test_two_del_close kind);
+              Alcotest.test_case (name ^ ": wakeup order") `Quick
+                (test_two_wake_order kind);
+            ])
+          [ ("socket", `Socket); ("pipe", `Pipe) ]
+        @ [
+            Alcotest.test_case "MOD names another object" `Quick
+              test_mod_other_object;
+          ] );
     ]

@@ -232,6 +232,242 @@ let test_trace_and_procfs () =
       Alcotest.(check bool) (t ^ " traced") true (List.mem t tags))
     [ "listen"; "connect"; "accept" ]
 
+(* ------------------------------------------------------------------ *)
+(* Byte-queue model                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Random scripts of writes, deliveries, reads, closes and aborts run
+   against the kernel objects directly and against a plain-string model;
+   after every step the results, the byte counts and the readiness must
+   agree.  The byte queue keeps bytes as a string and a read offset and
+   hands chunks through without copying, so the scripts mix reads that
+   split a chunk, deliveries into a non-empty queue and closes with data
+   still on the wire. *)
+
+module Socket = Sunos_kernel.Socket
+module Pipe = Sunos_kernel.Pipe
+module Eventq = Sunos_sim.Eventq
+module Net = Sunos_hw.Devices.Net
+
+type op =
+  | Write of int
+  | Deliver  (* sockets: the next transfer completes *)
+  | Read of int
+  | Close_writer
+  | Close_reader
+  | Abort  (* sockets: mid-stream RST *)
+
+let pp_op = function
+  | Write n -> Printf.sprintf "write %d" n
+  | Deliver -> "deliver"
+  | Read n -> Printf.sprintf "read %d" n
+  | Close_writer -> "close-writer"
+  | Close_reader -> "close-reader"
+  | Abort -> "abort"
+
+let model_cap = 48
+
+(* Every written byte is distinct from its neighbours, so a read that
+   returns bytes from the wrong offset cannot pass for the right one. *)
+let fresh =
+  let next = ref 0 in
+  fun n ->
+    let base = !next in
+    next := base + n;
+    String.init n (fun i -> Char.chr (32 + ((base + i) mod 95)))
+
+(* The model of one direction: [wire] holds the chunks accepted and not
+   yet delivered, oldest first; [buf] the bytes delivered and not read.
+   Whichever transfer completes, the oldest chunk lands: a stream keeps
+   byte order. *)
+type model = {
+  mutable wire : string list;
+  mutable buf : string;
+  mutable wclosed : bool;
+  mutable rclosed : bool;
+  mutable reset : bool;
+}
+
+let new_model () =
+  { wire = []; buf = ""; wclosed = false; rclosed = false; reset = false }
+
+let wire_bytes m = List.fold_left (fun a c -> a + String.length c) 0 m.wire
+let eof m = m.wclosed && m.buf = "" && m.wire = []
+
+let take m n =
+  let out = String.sub m.buf 0 n in
+  m.buf <- String.sub m.buf n (String.length m.buf - n);
+  out
+
+let fail_at step op what =
+  QCheck.Test.fail_reportf "step %d (%s): %s" step (pp_op op) what
+
+let check_eq step op what pp a b =
+  if a <> b then
+    fail_at step op (Printf.sprintf "%s: got %s, model %s" what (pp a) (pp b))
+
+let pp_read = function
+  | `Data s -> Printf.sprintf "Data %S" s
+  | `Eof -> "Eof"
+  | `Empty -> "Empty"
+  | `Reset -> "Reset"
+
+let pp_write = function
+  | `Accepted n -> Printf.sprintf "Accepted %d" n
+  | `Full -> "Full"
+  | `Reset -> "Reset"
+
+(* Client writes, server reads: the client-to-server direction of one
+   connection. *)
+let run_socket_script ops =
+  let q = Eventq.create () in
+  let net = Net.create ~eventq:q ~rtt:(Sunos_sim.Time.us 100) () in
+  let c, s = Socket.pair ~net ~capacity:model_cap () in
+  let m = new_model () in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Write n when not m.wclosed ->
+          let data = fresh n in
+          let want =
+            if m.reset || m.rclosed then `Reset
+            else
+              let k = min n (model_cap - String.length m.buf - wire_bytes m) in
+              if k = 0 then `Full
+              else begin
+                m.wire <- m.wire @ [ String.sub data 0 k ];
+                `Accepted k
+              end
+          in
+          check_eq step op "write" pp_write (Socket.write c data) want
+      | Write _ -> ()
+      | Deliver -> (
+          match m.wire with
+          | [] -> ()
+          | chunk :: rest ->
+              m.wire <- rest;
+              if not (m.rclosed || m.reset) then m.buf <- m.buf ^ chunk;
+              ignore (Eventq.run_one q : bool))
+      | Read len when not m.rclosed ->
+          let want =
+            if m.reset then `Reset
+            else
+              let n = min len (String.length m.buf) in
+              if n > 0 then `Data (take m n) else if eof m then `Eof else `Empty
+          in
+          check_eq step op "read" pp_read (Socket.read s ~len) want
+      | Read _ -> ()
+      | Close_writer ->
+          m.wclosed <- true;
+          Socket.close c
+      | Close_reader ->
+          (* unread or undelivered bytes make the close abortive *)
+          if (not m.rclosed) && (m.buf <> "" || m.wire <> []) then
+            m.reset <- true;
+          m.rclosed <- true;
+          m.buf <- "";
+          Socket.close s
+      | Abort ->
+          m.reset <- true;
+          m.buf <- "";
+          Socket.abort c);
+      let buffered = if m.reset then 0 else String.length m.buf in
+      check_eq step op "buffered" string_of_int (Socket.buffered s) buffered;
+      check_eq step op "window" string_of_int (Socket.window c)
+        (model_cap - buffered - wire_bytes m);
+      check_eq step op "readable" string_of_bool (Socket.readable s)
+        (m.reset || m.buf <> "" || eof m);
+      check_eq step op "writable" string_of_bool (Socket.writable c)
+        (m.reset || m.rclosed || model_cap - buffered - wire_bytes m > 0))
+    ops;
+  true
+
+let run_pipe_script ops =
+  let p = Pipe.create ~capacity:model_cap () in
+  let m = new_model () in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Write n when not m.wclosed ->
+          let data = fresh n in
+          let k = min n (model_cap - String.length m.buf) in
+          m.buf <- m.buf ^ String.sub data 0 k;
+          check_eq step op "write" string_of_int (Pipe.write p data) k
+      | Read len when not m.rclosed ->
+          let want = take m (min len (String.length m.buf)) in
+          check_eq step op "read" (Printf.sprintf "%S") (Pipe.read p ~len) want
+      | Write _ | Read _ | Deliver | Abort -> ()
+      | Close_writer ->
+          m.wclosed <- true;
+          Pipe.close_write p
+      | Close_reader ->
+          m.rclosed <- true;
+          Pipe.close_read p);
+      check_eq step op "buffered" string_of_int (Pipe.buffered p)
+        (String.length m.buf);
+      check_eq step op "readable" string_of_bool (Pipe.readable p)
+        (m.buf <> "" || m.wclosed);
+      check_eq step op "writable" string_of_bool (Pipe.writable p)
+        (String.length m.buf < model_cap || m.rclosed);
+      check_eq step op "EOF" string_of_bool (Pipe.write_closed p) m.wclosed)
+    ops;
+  true
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun n -> Write n) (int_bound (model_cap + 16)));
+        (6, return Deliver);
+        (6, map (fun n -> Read n) (int_bound (model_cap / 2)));
+        (1, return Close_writer);
+        (1, return Close_reader);
+        (1, return Abort);
+      ])
+
+let arb_script =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 40) gen_op)
+
+let prop_socket =
+  QCheck.Test.make ~name:"socket byte queue matches the string model"
+    ~count:500 arb_script run_socket_script
+
+let prop_pipe =
+  QCheck.Test.make ~name:"pipe byte queue matches the string model"
+    ~count:500 arb_script run_pipe_script
+
+(* Fixed scripts that each hit one case of the queue for certain. *)
+let script name ops run =
+  Alcotest.test_case name `Quick (fun () ->
+      match run ops with
+      | true -> ()
+      | false | (exception QCheck.Test.Test_fail _) ->
+          Alcotest.failf "%s: diverged from the model" name)
+
+let model_cases =
+  [
+    script "read splits a chunk"
+      [ Write 20; Deliver; Read 7; Read 7; Read 7; Read 7 ]
+      run_socket_script;
+    script "delivery into a non-empty queue"
+      [ Write 10; Write 12; Deliver; Read 4; Deliver; Read 30 ]
+      run_socket_script;
+    script "shorter chunk behind a longer one"
+      [ Write 30; Write 3; Deliver; Read 40; Deliver; Read 40 ]
+      run_socket_script;
+    script "EOF only after in-flight data lands"
+      [ Write 9; Close_writer; Read 16; Deliver; Read 4; Read 16; Read 16 ]
+      run_socket_script;
+    script "pipe: read splits, write appends"
+      [ Write 10; Read 3; Write 60; Read 100; Close_writer; Read 4 ]
+      run_pipe_script;
+    QCheck_alcotest.to_alcotest prop_socket;
+    QCheck_alcotest.to_alcotest prop_pipe;
+  ]
+
 let () =
   Alcotest.run "sunos_socket"
     [
@@ -256,4 +492,5 @@ let () =
         [
           Alcotest.test_case "trace + procfs" `Quick test_trace_and_procfs;
         ] );
+      ("byte-queue model", model_cases);
     ]
